@@ -18,14 +18,14 @@ scales that learner's vector by a line search on the smoothed risk itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .costs import CostMatrix, dataset_terms, loss_floor
 from .loss import smoothed_risk
-from .weak import (SplitScores, ThresholdGrid, Tree, WeightState, accumulate_split, build_grid,
-                   grow_layer, optimal_vector, stump_search)
+from .weak import (LearnerFit, SplitScores, ThresholdGrid, Tree, WeightState, accumulate_split,
+                   build_grid, grow_layer, optimal_vector, stump_search)
 
 if TYPE_CHECKING:
     from .io import Dataset
@@ -60,14 +60,40 @@ class StrongClassifier:
     rounds: list[tuple[Tree, np.ndarray]]
     fingerprint: str = ""
 
-    def scores(self, features: np.ndarray) -> np.ndarray:
+    def _walk(self, features: np.ndarray) -> Iterator[np.ndarray]:
+        """Class-major (K, N) running scores: a0 first, then after each round.
+
+        Yields one buffer, updated in place.  Each round adds +a or -a per
+        sample, exactly out * a for out in {-1, +1}, in round order: a
+        reordered sum (a matmul over rounds, say) would change the low bits.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
             raise ValueError(f"expected (N, {self.d}) features, got {features.shape}")
-        h = np.tile(self.a0, (features.shape[0], 1))
+        # a feature-major copy, so that each node reads one contiguous row
+        by_column = np.ascontiguousarray(features.T).T
+        h = np.repeat(self.a0[:, None], features.shape[0], axis=1)
+        yield h
         for tree, vector in self.rounds:
-            h += tree.evaluate(features)[:, None] * vector
-        return h
+            up = vector[:, None]
+            h += np.where(tree.plus_side(by_column), up, -up)
+            yield h
+
+    def staged_scores(self, features: np.ndarray) -> Iterator[np.ndarray]:
+        """(N, K) scores after each round, bit-identical to `scores` of each prefix.
+
+        Every stage is a view of one buffer that the next round updates in
+        place; copy a stage to keep it.
+        """
+        stages = self._walk(features)
+        next(stages)
+        for h in stages:
+            yield h.T
+
+    def scores(self, features: np.ndarray) -> np.ndarray:
+        for h in self._walk(features):
+            pass
+        return np.ascontiguousarray(h.T)
 
 
 @dataclass
@@ -171,16 +197,17 @@ def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
 
 
 def fit_learner(data: "Dataset", weights: WeightState, grid: ThresholdGrid, epsilon: float,
-                depth: int) -> tuple[Tree, np.ndarray, np.ndarray]:
+                depth: int) -> LearnerFit:
     """The round's learner for these weights: root stump search, then layer growth to `depth`.
 
-    Returns the tree, its vector and its outputs on the training features.
+    The fit's learner is always a Tree; its outputs and split scores are on
+    the training features under `weights`.
     """
-    stump, vector, _ = stump_search(data, weights, grid, epsilon)
-    learner = Tree.from_stump(stump)
-    while learner.depth < depth:
-        learner, vector, _ = grow_layer(learner, vector, data, weights, grid, epsilon)
-    return learner, vector, learner.evaluate(data.features)
+    fit = stump_search(data, weights, grid, epsilon)
+    fit = fit._replace(learner=Tree.from_stump(fit.learner))
+    while fit.learner.depth < depth:
+        fit = grow_layer(fit.learner, fit.vector, data, weights, grid, epsilon)
+    return fit
 
 
 def risk_round(data: "Dataset", h: np.ndarray, cost_rows: np.ndarray, grid: ThresholdGrid,
@@ -205,7 +232,7 @@ def risk_round(data: "Dataset", h: np.ndarray, cost_rows: np.ndarray, grid: Thre
     before, q, expected = smoothed_risk(h, cost_rows, TEMPERATURE)
     slope = q * (expected[:, None] - cost_rows)
     pull = WeightState(w_plus=np.maximum(-slope, 0.0), w_minus=np.maximum(slope, 0.0))
-    learner, direction, outputs = fit_learner(data, pull, grid, epsilon, depth)
+    learner, direction, _, outputs, _ = fit_learner(data, pull, grid, epsilon, depth)
     reach = float(np.max(np.abs(direction)))
     if reach == 0.0:
         return learner, outputs, direction, before
@@ -297,13 +324,13 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
             if not np.any(vector):
                 trace.stopped = "stalled"
                 break
+            # a smoothed-risk round's vector is not the surrogate's optimum,
+            # so it claims no edge
+            gamma = phi = float("nan")
         else:
-            learner, vector, outputs = fit_learner(data, weights, grid, epsilon, cfg.tree_depth)
-
-        # a smoothed-risk round's vector is not the surrogate's optimum, so
-        # it claims no edge
-        gamma, phi = (edge(accumulate_split(outputs, weights), c_star_bar, floor, certificate)
-                      if phase == "exp" else (float("nan"), float("nan")))
+            learner, vector, _, outputs, scores = fit_learner(data, weights, grid, epsilon,
+                                                              cfg.tree_depth)
+            gamma, phi = edge(scores, c_star_bar, floor, certificate)
         model.rounds.append((learner, vector))
         h += outputs[:, None] * vector
         update_weights(weights, outputs, vector, round_index=t)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -73,8 +72,8 @@ def cmd_predict(args) -> int:
     scores = model.scores(features)
     preds = np.argmax(scores, axis=1) + 1
     lines = ["pred," + ",".join(f"score_{i}" for i in range(1, model.k + 1))]
-    for p, row in zip(preds, scores):
-        lines.append(f"{p}," + ",".join(repr(float(v)) for v in row))
+    lines += [f"{p}," + ",".join(map(repr, row))
+              for p, row in zip(preds.tolist(), scores.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -137,6 +136,7 @@ def cmd_oracle_check(args) -> int:
     jobs = [(int(s), args.n, args.d, args.rounds, args.ntau, args.debug_epsilon_scale)
             for s in seeds]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_oracle_job, jobs))
     else:
@@ -171,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cost-sensitive multi-class boosting with binary weak learners.")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--workers", type=int, default=_default_workers(),
-                        help="worker processes where applicable (default REBEL_WORKERS or 1)")
+                        help="worker processes (default REBEL_WORKERS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("train", parents=[shared], help="train a model")
+    t = sub.add_parser("train", help="train a model")
     t.add_argument("--data", required=True, help="training CSV")
     t.add_argument("--labels", required=True,
                    help="label spec: col:IDX (0-based, negatives from the end) or file:PATH")
@@ -193,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--val-labels", help="label spec for --val (default: same as --labels)")
     t.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[shared], help="score a feature CSV")
+    p = sub.add_parser("predict", help="score a feature CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--labels", help="label spec if the CSV carries a label column to drop")
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=cmd_predict)
 
-    e = sub.add_parser("eval", parents=[shared], help="evaluate a model on labeled data")
+    e = sub.add_parser("eval", help="evaluate a model on labeled data")
     e.add_argument("--model", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--labels", required=True)
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", help="report path (default stdout)")
     e.set_defaults(func=cmd_eval)
 
-    s = sub.add_parser("synth", parents=[shared], help="generate a synthetic problem")
+    s = sub.add_parser("synth", help="generate a synthetic problem")
     s.add_argument("--spec", help="key=value mixture spec file")
     s.add_argument("--k", type=int, default=4)
     s.add_argument("--clusters", type=int, default=2)

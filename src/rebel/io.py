@@ -75,6 +75,26 @@ def _parse_feature(token: str, path, line_no: int, col: int) -> float:
     return val
 
 
+def _parse_columns(path, rows: list, cols: list[int]) -> np.ndarray:
+    """The (N, len(cols)) float matrix of the chosen columns of `_read_rows` output.
+
+    One `float()` pass over all tokens, then one finiteness check.  Only if
+    either fails are the cells scanned one by one, to report the first bad
+    cell by line and column.
+    """
+    tokens = [cells[col] for _, cells in rows for col in cols]
+    try:
+        flat = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        flat = None
+    if flat is not None and np.isfinite(flat).all():
+        return flat.reshape(len(rows), len(cols))
+    for line_no, cells in rows:
+        for col in cols:
+            _parse_feature(cells[col], path, line_no, col)
+    raise AssertionError("bulk parse failed on cells that parse one by one")
+
+
 def load_dataset(path, labels: str) -> Dataset:
     """Load a feature CSV plus labels from a column or a side file.
 
@@ -107,10 +127,7 @@ def load_dataset(path, labels: str) -> Dataset:
 
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns left")
-    features = np.empty((len(rows), len(feature_cols)))
-    for r, (line_no, cells) in enumerate(rows):
-        for c, col in enumerate(feature_cols):
-            features[r, c] = _parse_feature(cells[col], path, line_no, col)
+    features = _parse_columns(path, rows, feature_cols)
 
     names = sorted(set(tokens))
     index = {name: i + 1 for i, name in enumerate(names)}
@@ -123,11 +140,7 @@ def load_dataset(path, labels: str) -> Dataset:
 def load_features(path) -> np.ndarray:
     """Load an all-numeric CSV (no label column) as a feature matrix."""
     rows = _read_rows(path)
-    features = np.empty((len(rows), len(rows[0][1])))
-    for r, (line_no, cells) in enumerate(rows):
-        for c, token in enumerate(cells):
-            features[r, c] = _parse_feature(token, path, line_no, c)
-    return features
+    return _parse_columns(path, rows, list(range(len(rows[0][1]))))
 
 
 def save_dataset(data: Dataset, path) -> None:

@@ -6,7 +6,6 @@ grid of random datasets crossed with random cost matrices.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +176,7 @@ def run_comparison(n_datasets: int = 10, n_matrices: int = 20, rounds: int = 100
             for i in range(n_datasets)]
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_comparison_dataset_block, jobs))
     else:

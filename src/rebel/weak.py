@@ -9,7 +9,7 @@ O(d * (N + n_tau) * K) instead of O(d * n_tau * N * K).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,25 @@ class Tree:
             node = 2 * node + 1 + (out > 0)
         return out, node - (2 ** self.depth - 1)
 
+    def plus_side(self, features: np.ndarray, i: int = 0) -> np.ndarray:
+        """Where the subtree rooted at node i outputs +1.
+
+        Evaluates every node on every sample and selects per sample, which
+        costs 2^D - 1 column comparisons instead of D row gathers: a node's
+        +1 side takes its right subtree, and a last-level node's side is
+        the output, as in `route`.
+        """
+        stump = self.nodes[i]
+        side = features[:, stump.feature] > stump.threshold
+        if stump.polarity < 0:
+            side = ~side
+        if 2 * i + 1 >= len(self.nodes):
+            return side
+        return np.where(side, self.plus_side(features, 2 * i + 2),
+                        self.plus_side(features, 2 * i + 1))
+
     def evaluate(self, features: np.ndarray) -> np.ndarray:
-        return self.route(features)[0]
+        return np.where(self.plus_side(features), 1, -1)
 
 
 @dataclass
@@ -103,6 +120,17 @@ class SplitScores:
 
     s_plus: np.ndarray
     s_minus: np.ndarray
+
+
+class LearnerFit(NamedTuple):
+    """A split search's pick: the learner, its fitted vector and unsmoothed
+    criterion, and its +-1 outputs and split scores on the training data."""
+
+    learner: Stump | Tree
+    vector: np.ndarray
+    criterion: float
+    outputs: np.ndarray
+    scores: SplitScores
 
 
 def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
@@ -184,14 +212,15 @@ def first_within_slack(values: np.ndarray, limit: float) -> int:
 
 
 def stump_search(data: "Dataset", weights: WeightState, grid: ThresholdGrid,
-                 epsilon: float) -> tuple[Stump, np.ndarray, float]:
+                 epsilon: float) -> LearnerFit:
     """Best root stump over the full grid with polarity fixed to +1.
 
     Orientation is absorbed by the output vector, so only (feature, threshold)
     is searched.  Ties break to the lowest feature index, then the lowest
     threshold, with the SELECTION_SLACK tolerance deciding what counts as a
     tie.  The grid must have been built from `data.features`.  Returns the
-    stump, its smoothed vector, and the unsmoothed criterion value.
+    stump with its smoothed vector, unsmoothed criterion, outputs and split
+    scores.
     """
     X = data.features
     n = X.shape[0]
@@ -232,13 +261,14 @@ def stump_search(data: "Dataset", weights: WeightState, grid: ThresholdGrid,
             break
 
     stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=1)
-    scores = accumulate_split(stump.evaluate(X), weights)
+    outputs = stump.evaluate(X)
+    scores = accumulate_split(outputs, weights)
     vector, criterion = optimal_vector(scores, epsilon)
-    return stump, vector, criterion
+    return LearnerFit(stump, vector, criterion, outputs, scores)
 
 
 def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightState,
-               grid: ThresholdGrid, epsilon: float) -> tuple[Tree, np.ndarray, float]:
+               grid: ThresholdGrid, epsilon: float) -> LearnerFit:
     """Deepen a tree by one level without ever increasing the training loss.
 
     Each leaf slot gets a stump initialized to its parent's parameters (a
@@ -246,7 +276,8 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
     polarities while the output vector stays fixed; a leaf keeps its
     initialization unless some candidate strictly improves its routed
     objective.  Finally the vector is refitted to the deeper tree, keeping
-    the old vector if smoothing would make the refit worse.
+    the old vector if smoothing would make the refit worse.  Returns the
+    grown tree with its vector, criterion, outputs and split scores.
     """
     X = data.features
     exp_a = np.exp(vector)
@@ -267,11 +298,12 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
         new_nodes.append(stump)
 
     grown = Tree(depth=tree.depth + 1, nodes=list(tree.nodes) + new_nodes)
-    scores = accumulate_split(grown.evaluate(X), weights)
+    outputs = grown.evaluate(X)
+    scores = accumulate_split(outputs, weights)
     refit, criterion = optimal_vector(scores, epsilon)
     if split_value(scores, refit) > split_value(scores, vector):
         refit = vector  # smoothing moved the refit past the old vector; keep monotone
-    return grown, refit, criterion
+    return LearnerFit(grown, refit, criterion, outputs, scores)
 
 
 def _best_leaf_stump(X: np.ndarray, sel: np.ndarray, u: np.ndarray, v: np.ndarray,

@@ -37,3 +37,56 @@ def naive_stump_search(X, w_plus, w_minus, grid):
         if crit <= limit:
             return Stump(feature=j, threshold=tau, polarity=1), crit
     raise AssertionError("unreachable")
+
+
+def cell_by_cell_parse(path, cols=None):
+    """CSV feature parse one cell at a time: nonblank lines split on commas,
+    `float()` per chosen cell (all cells if `cols` is None), and the first
+    bad cell in row-major order named by line and column."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                rows.append((line_no, line.strip().split(",")))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    width = len(rows[0][1])
+    for line_no, cells in rows:
+        if len(cells) != width:
+            raise ValueError(f"{path}: line {line_no}: expected {width} cells, got {len(cells)}")
+    cols = range(width) if cols is None else cols
+    out = np.empty((len(rows), len(cols)))
+    for r, (line_no, cells) in enumerate(rows):
+        for c, col in enumerate(cols):
+            token = cells[col]
+            try:
+                val = float(token)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}, column {col}: "
+                                 f"not a number: {token!r}") from None
+            if not np.isfinite(val):
+                raise ValueError(f"{path}: line {line_no}, column {col}: "
+                                 f"non-finite value {token!r}")
+            out[r, c] = val
+    return out
+
+
+def tree_outputs(tree, features):
+    """A tree's +-1 outputs, walking each sample from the root: -1 goes to
+    the left child, +1 to the right, and the last stump's output counts."""
+    out = np.empty(features.shape[0], dtype=np.int64)
+    for r, x in enumerate(features):
+        node = 0
+        for _ in range(tree.depth):
+            stump = tree.nodes[node]
+            out[r] = stump.polarity * (1 if x[stump.feature] > stump.threshold else -1)
+            node = 2 * node + (1 if out[r] < 0 else 2)
+    return out
+
+
+def round_order_scores(model, features):
+    """Scores a0 + sum_t tree_t(x) * a_t, summed one round at a time in (N, K) layout."""
+    h = np.tile(model.a0, (features.shape[0], 1))
+    for tree, vector in model.rounds:
+        h += tree_outputs(tree, features)[:, None] * vector
+    return h

@@ -158,15 +158,15 @@ def test_criterion_5_tree_growth(capsys):
         weights = WeightState(w_plus=c_plus.copy(), w_minus=c_minus.copy())
         eps = 1.0 / (2 * n * costs.k)
         grid = build_grid(data.features, 64)
-        stump, vector, _ = stump_search(data, weights, grid, eps)
+        stump, vector, *_ = stump_search(data, weights, grid, eps)
         tree = Tree.from_stump(stump)
         for _ in range(trial % 3):
             update_weights(weights, tree.evaluate(data.features), vector)
-            stump2, vector, _ = stump_search(data, weights, grid, eps)
+            stump2, vector, *_ = stump_search(data, weights, grid, eps)
             tree = Tree.from_stump(stump2)
         for _ in range(3):
             before = split_value(accumulate_split(tree.evaluate(data.features), weights), vector)
-            tree, vector, _ = grow_layer(tree, vector, data, weights, grid, eps)
+            tree, vector, *_ = grow_layer(tree, vector, data, weights, grid, eps)
             after = split_value(accumulate_split(tree.evaluate(data.features), weights), vector)
             calls += 1
             if after > before:
@@ -202,9 +202,9 @@ def test_criterion_6_search_exactness(capsys):
         weights = WeightState(w_plus=c_plus.copy(), w_minus=c_minus.copy())
         eps = 1.0 / (2 * n * k)
         for _ in range(int(rng.integers(0, 3))):
-            stump, vector, _ = stump_search(data, weights, grid, eps)
+            stump, vector, *_ = stump_search(data, weights, grid, eps)
             update_weights(weights, Tree.from_stump(stump).evaluate(data.features), vector)
-        stump, _, crit = stump_search(data, weights, grid, eps)
+        stump, _, crit, *_ = stump_search(data, weights, grid, eps)
         ref_stump, ref_crit = naive_stump_search(
             data.features, weights.w_plus, weights.w_minus, grid)
         if (stump.feature, stump.threshold) != (ref_stump.feature, ref_stump.threshold):

@@ -1,16 +1,20 @@
 """The boosting loop: weights, constant fit, stopping, and invariants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_costs, random_problem
+from reference_impl import round_order_scores
 from rebel import boost
 from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
                          fit_constant, init_weights, predict, predict_all, train,
                          update_weights)
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
-from rebel.io import Dataset, model_to_text
+from rebel.io import Dataset, model_from_text, model_to_text
 from rebel.loss import smoothed_risk, surrogate_loss
-from rebel.weak import WeightState, accumulate_split, split_value
+from rebel.weak import Stump, Tree, WeightState, accumulate_split, split_value
 
 
 def separable_problem(seed=0, n=60, k=3):
@@ -281,3 +285,60 @@ class TestPredict:
         batch = predict_all(model, x)
         singles = [predict(model, x[i])[0] for i in range(20)]
         np.testing.assert_array_equal(batch, singles)
+
+
+# a few shared values, so that thresholds often equal feature values (ties
+# route to -1) and vectors hold signed zeros
+_TIED = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+_VALUES = st.one_of(_TIED, st.floats(-8.0, 8.0))
+
+
+@st.composite
+def _model_and_rows(draw):
+    """A model of mixed-depth trees (1-3, both polarities), round-tripped
+    through the text format, and 0-12 rows of features."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    model = StrongClassifier(k=k, d=d, a0=draw(arrays(np.float64, k, elements=_VALUES)),
+                             rounds=[], fingerprint="property")
+    for _ in range(draw(st.integers(0, 6))):
+        depth = draw(st.integers(1, 3))
+        nodes = [Stump(feature=draw(st.integers(0, d - 1)), threshold=draw(_VALUES),
+                       polarity=draw(st.sampled_from([-1, 1])))
+                 for _ in range(2 ** depth - 1)]
+        vector = draw(arrays(np.float64, k, elements=_VALUES))
+        model.rounds.append((Tree(depth=depth, nodes=nodes), vector))
+    rows = draw(arrays(np.float64, (draw(st.integers(0, 12)), d), elements=_VALUES))
+    return model_from_text(model_to_text(model)), rows
+
+
+class TestScoringWalk:
+    """`scores` and `staged_scores` against round-order summation, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_model_and_rows())
+    def test_scores_match_round_order_sum(self, case):
+        model, rows = case
+        got = model.scores(rows)
+        want = round_order_scores(model, rows)
+        assert got.shape == want.shape == (rows.shape[0], model.k)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_model_and_rows())
+    def test_each_stage_matches_its_prefix(self, case):
+        model, rows = case
+        stages = [h.copy() for h in model.staged_scores(rows)]
+        assert len(stages) == len(model.rounds)
+        for t, stage in enumerate(stages, 1):
+            prefix = StrongClassifier(k=model.k, d=model.d, a0=model.a0,
+                                      rounds=model.rounds[:t])
+            assert stage.tobytes() == round_order_scores(prefix, rows).tobytes()
+
+    def test_model_grown_after_construction_is_scored_in_full(self):
+        """Scoring packs nothing ahead of the call, so appended rounds count."""
+        model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
+        x = np.array([[1.0]])
+        np.testing.assert_array_equal(model.scores(x), [[0.0, 0.0]])
+        model.rounds.append((Tree.from_stump(Stump(0, 0.0, 1)), np.array([-1.0, 1.0])))
+        np.testing.assert_array_equal(model.scores(x), [[-1.0, 1.0]])

@@ -70,6 +70,39 @@ def test_predict_unlabeled_features_to_stdout(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_predict_rows_are_repr_of_scores(tmp_path):
+    """Each output row is the argmax class, then every score's repr."""
+    from conftest import random_model
+    from rebel.io import save_model
+    model = random_model(4, k=3, d=2, depth=2, rounds=6)
+    model_txt = tmp_path / "model.txt"
+    save_model(model, model_txt)
+    feats = tmp_path / "plain.csv"
+    x = np.random.default_rng(2).normal(size=(25, 2))
+    feats.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+    pred_csv = tmp_path / "pred.csv"
+    assert run(["predict", "--model", model_txt, "--data", feats, "--out", pred_csv]) == 0
+    scores = model.scores(x)
+    expected = ["pred,score_1,score_2,score_3"] + [
+        f"{int(np.argmax(row)) + 1}," + ",".join(repr(float(v)) for v in row) for row in scores]
+    assert pred_csv.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "d.csv", "--labels", "col:-1", "--rounds", "2", "--out", "m.txt"],
+    ["predict", "--model", "m.txt", "--data", "d.csv"],
+    ["eval", "--model", "m.txt", "--data", "d.csv", "--labels", "col:-1"],
+    ["synth", "--out-train", "a.csv", "--out-test", "b.csv"],
+])
+def test_workers_only_on_pooled_commands(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(command + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    for pooled in (["compare", "--out", "c.csv"], ["oracle-check"]):
+        assert cli.build_parser().parse_args(pooled + ["--workers", "2"]).workers == 2
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["train", "--data", tmp_path / "nope.csv", "--labels", "col:-1",
                 "--rounds", 3, "--out", tmp_path / "m.txt"]) == 2

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import random_model, random_problem
 from rebel.boost import StrongClassifier, TrainConfig, train
 from rebel.costs import CostMatrix
 from rebel.evaluation import cost_checksum, evaluate, report_text, select_rounds
@@ -43,6 +43,20 @@ def test_evaluate_agrees_with_empirical_risk():
     preds = predict_all(model, data.features)
     assert risk == pytest.approx(empirical_risk(preds, data.labels, costs), rel=1e-12)
     assert error == pytest.approx(float(np.mean(preds != data.labels)), abs=1e-15)
+
+
+def test_error_and_risk_match_per_sample_path():
+    """The confusion-matrix error and risk equal the per-sample figures."""
+    from rebel.boost import predict_all
+    for seed in range(20):
+        k = 2 + seed % 4
+        data, costs = random_problem(200 + seed, n=30 + 7 * seed, d=3, k=k)
+        model = (train(data, costs, TrainConfig(rounds=3 + seed))[0] if seed % 4 == 0
+                 else random_model(seed, k=k, d=3, depth=1 + seed % 3, rounds=seed))
+        _, error, risk = evaluate(model, data, costs)
+        preds = predict_all(model, data.features)
+        assert abs(error - np.mean(preds != data.labels)) < 1e-12
+        assert abs(risk - empirical_risk(preds, data.labels, costs)) < 1e-9 * max(1.0, abs(risk))
 
 
 class TestSelectRounds:

@@ -1,11 +1,15 @@
 """CSV dataset loading and the plain-text model format."""
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, random_problem
+from reference_impl import cell_by_cell_parse
 from rebel.boost import TrainConfig, train
 from rebel.io import (Dataset, ModelParseError, load_dataset, load_features,
                       load_model, model_from_text, model_to_text, save_dataset,
@@ -123,6 +127,75 @@ def test_load_features_plain(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("1.0,-2.5\n0.25,3.0\n")
     np.testing.assert_array_equal(load_features(path), [[1.0, -2.5], [0.25, 3.0]])
+
+
+# cell tokens the bulk parse must treat exactly as float() does: plain and
+# padded numbers, sign and exponent forms, underscores, non-ASCII digits,
+# then non-finite spellings, overflow, and non-numbers
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["+1.5", "-2e3", "+1E-3", ".5", "5.", "-0", "-0.0", "1_0", "1_000.5",
+                     "\u0661\u0662", "1e308"]),
+)
+_ANY = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["1e309", "-1e309", "nan", "NaN", "-inf", "Infinity", "", "abc", "1.2.3",
+                     "0x10", "1__0", "_1", "1e", "- 1"]),
+)
+_PADS = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _csv_text(draw, width):
+    """Rows of `width` padded cells, all numbers or any tokens, with CRLF or LF
+    endings and blank lines between them."""
+    tokens = draw(st.sampled_from([_NUMBERS, _ANY]))
+    cells = st.tuples(_PADS, tokens, _PADS).map("".join)
+    n = draw(st.integers(1, 6))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(n):
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    return ending.join(lines) + ending * draw(st.integers(0, 2))
+
+
+def _outcome(parse):
+    """The parsed array's shape and bytes, or the error message."""
+    try:
+        arr = parse()
+    except ValueError as exc:
+        return "error", str(exc)
+    return arr.shape, arr.tobytes()
+
+
+class TestBulkParse:
+    """The one-pass parse against a cell-by-cell reference: byte-equal arrays
+    or the same first-bad-cell message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_features_matches_cell_by_cell(self, data):
+        text = data.draw(_csv_text(data.draw(st.integers(1, 4))))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(lambda: load_features(path)) == \
+                _outcome(lambda: cell_by_cell_parse(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_dataset_matches_cell_by_cell(self, data):
+        width = data.draw(st.integers(2, 4))
+        label_col = data.draw(st.integers(0, width - 1))
+        text = data.draw(_csv_text(width))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            cols = [c for c in range(width) if c != label_col]
+            assert _outcome(lambda: load_dataset(path, f"col:{label_col}").features) == \
+                _outcome(lambda: cell_by_cell_parse(path, cols))
 
 
 class TestModelFormat:

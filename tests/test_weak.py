@@ -8,7 +8,7 @@ from rebel.io import Dataset
 from rebel.weak import (SplitScores, Stump, Tree, WeightState, accumulate_split,
                         build_grid, grow_layer, optimal_vector, split_value,
                         stump_search)
-from reference_impl import naive_split_scores, naive_stump_search
+from reference_impl import naive_split_scores, naive_stump_search, tree_outputs
 
 
 def random_weights(rng, n, k):
@@ -140,7 +140,7 @@ class TestStumpSearch:
         labels = np.repeat([1, 2], 30)
         data = Dataset.from_arrays(features, labels, 2)
         w = init_weights(random_costs(2, rng), data)
-        stump, vector, crit = stump_search(data, w, build_grid(features, 50), epsilon=1e-3)
+        stump, vector, crit, *_ = stump_search(data, w, build_grid(features, 50), epsilon=1e-3)
         assert stump.feature == 1
         assert 1.0 < stump.threshold < 5.0
         assert crit <= 1e-12
@@ -161,15 +161,26 @@ class TestStumpSearch:
                 out = rng.choice([-1, 1], size=n)
                 update_weights(w, out, rng.normal(scale=0.3, size=k))
             grid = build_grid(data.features, n_tau)
-            stump, _, crit = stump_search(data, w, grid, epsilon=1e-3)
+            stump, _, crit, *_ = stump_search(data, w, grid, epsilon=1e-3)
             ref_stump, ref_crit = naive_stump_search(data.features, w.w_plus, w.w_minus, grid)
             assert (stump.feature, stump.threshold) == (ref_stump.feature, ref_stump.threshold)
             assert crit == pytest.approx(ref_crit, abs=1e-12)
 
+    def test_returns_outputs_and_scores_of_its_pick(self):
+        for seed in range(10):
+            data, costs = random_problem(400 + seed, n=50, d=3, k=3)
+            w = init_weights(costs, data)
+            fit = stump_search(data, w, build_grid(data.features, 30), epsilon=1e-3)
+            outputs = fit.learner.evaluate(data.features)
+            np.testing.assert_array_equal(fit.outputs, outputs)
+            scores = accumulate_split(outputs, w)
+            assert fit.scores.s_plus.tobytes() == scores.s_plus.tobytes()
+            assert fit.scores.s_minus.tobytes() == scores.s_minus.tobytes()
+
     def test_polarity_always_plus_one(self, rng):
         data, costs = random_problem(5, n=40, d=2, k=3)
         w = init_weights(costs, data)
-        stump, _, _ = stump_search(data, w, build_grid(data.features, 20), epsilon=1e-3)
+        stump, *_ = stump_search(data, w, build_grid(data.features, 20), epsilon=1e-3)
         assert stump.polarity == 1
 
 
@@ -200,6 +211,21 @@ class TestTree:
         np.testing.assert_array_equal(slots, [0, 1, 2, 3])
 
 
+    def test_evaluate_and_route_match_per_sample_walk(self):
+        """Both routings agree with a walk from the root, ties and polarities included."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            depth = 1 + seed % 4
+            x = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(30, 3))
+            tree = Tree(depth=depth, nodes=[
+                Stump(int(rng.integers(0, 3)), float(rng.choice([-0.5, 0.0, 0.5])),
+                      int(rng.choice([-1, 1])))
+                for _ in range(2 ** depth - 1)])
+            want = tree_outputs(tree, x)
+            np.testing.assert_array_equal(tree.evaluate(x), want)
+            np.testing.assert_array_equal(tree.route(x)[0], want)
+
+
 class TestGrowLayer:
     def test_never_increases_split_value(self):
         for seed in range(30):
@@ -208,14 +234,26 @@ class TestGrowLayer:
             w = init_weights(costs, data)
             grid = build_grid(data.features, 40)
             eps = 1e-3
-            stump, vector, _ = stump_search(data, w, grid, eps)
+            stump, vector, *_ = stump_search(data, w, grid, eps)
             tree = Tree.from_stump(stump)
             value = split_value(accumulate_split(tree.evaluate(data.features), w), vector)
             for _ in range(2):
-                tree, vector, _ = grow_layer(tree, vector, data, w, grid, eps)
+                tree, vector, *_ = grow_layer(tree, vector, data, w, grid, eps)
                 grown = split_value(accumulate_split(tree.evaluate(data.features), w), vector)
                 assert grown <= value + 1e-12
                 value = grown
+
+    def test_returns_outputs_and_scores_of_grown_tree(self):
+        data, costs = random_problem(450, n=80, d=3, k=4)
+        w = init_weights(costs, data)
+        grid = build_grid(data.features, 40)
+        stump, vector, *_ = stump_search(data, w, grid, 1e-3)
+        fit = grow_layer(Tree.from_stump(stump), vector, data, w, grid, 1e-3)
+        outputs = fit.learner.evaluate(data.features)
+        np.testing.assert_array_equal(fit.outputs, outputs)
+        scores = accumulate_split(outputs, w)
+        assert fit.scores.s_plus.tobytes() == scores.s_plus.tobytes()
+        assert fit.scores.s_minus.tobytes() == scores.s_minus.tobytes()
 
     def test_pure_leaves_keep_parent_split(self):
         """A perfect root split leaves nothing to refine; growth is a no-op."""
@@ -225,8 +263,8 @@ class TestGrowLayer:
         data = Dataset.from_arrays(features, np.repeat([1, 2], 20), 2)
         w = init_weights(random_costs(2, rng), data)
         grid = build_grid(features, 30)
-        stump, vector, _ = stump_search(data, w, grid, epsilon=1e-4)
-        tree, vector2, _ = grow_layer(Tree.from_stump(stump), vector, data, w, grid, 1e-4)
+        stump, vector, *_ = stump_search(data, w, grid, epsilon=1e-4)
+        tree, vector2, *_ = grow_layer(Tree.from_stump(stump), vector, data, w, grid, 1e-4)
         np.testing.assert_array_equal(tree.evaluate(features),
                                       stump.evaluate(features))
         np.testing.assert_array_equal(vector2, vector)
