@@ -82,13 +82,12 @@ class StrongClassifier:
     def staged_scores(self, features: np.ndarray) -> Iterator[np.ndarray]:
         """(N, K) scores after each round, bit-identical to `scores` of each prefix.
 
-        Every stage is a view of one buffer that the next round updates in
-        place; copy a stage to keep it.
+        Each stage is a new C-contiguous array, as `scores` returns.
         """
         stages = self._walk(features)
         next(stages)
         for h in stages:
-            yield h.T
+            yield h.T.copy()  # C order; ascontiguousarray would return a view when N or K is 1
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         for h in self._walk(features):

@@ -14,7 +14,8 @@ from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.io import Dataset, model_from_text, model_to_text
 from rebel.loss import smoothed_risk, surrogate_loss
-from rebel.weak import Stump, Tree, WeightState, accumulate_split, split_value
+from rebel.weak import (SELECT_MAX_DEPTH, Stump, Tree, WeightState, accumulate_split,
+                        split_value)
 
 
 def separable_problem(seed=0, n=60, k=3):
@@ -328,12 +329,23 @@ class TestScoringWalk:
     @given(case=_model_and_rows())
     def test_each_stage_matches_its_prefix(self, case):
         model, rows = case
-        stages = [h.copy() for h in model.staged_scores(rows)]
+        stages = list(model.staged_scores(rows))
         assert len(stages) == len(model.rounds)
         for t, stage in enumerate(stages, 1):
             prefix = StrongClassifier(k=model.k, d=model.d, a0=model.a0,
                                       rounds=model.rounds[:t])
+            assert stage.flags.c_contiguous
             assert stage.tobytes() == round_order_scores(prefix, rows).tobytes()
+
+    def test_deep_trees_match_round_order_sum(self):
+        """Trees past SELECT_MAX_DEPTH are routed; the sum is the same."""
+        from conftest import random_model
+        rows = np.random.default_rng(7).normal(size=(50, 4))
+        for depth in (SELECT_MAX_DEPTH, SELECT_MAX_DEPTH + 1, SELECT_MAX_DEPTH + 3):
+            model = random_model(depth, k=3, d=4, depth=depth, rounds=4)
+            want = round_order_scores(model, rows).tobytes()
+            assert model.scores(rows).tobytes() == want
+            assert list(model.staged_scores(rows))[-1].tobytes() == want
 
     def test_model_grown_after_construction_is_scored_in_full(self):
         """Scoring packs nothing ahead of the call, so appended rounds count."""

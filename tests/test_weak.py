@@ -212,10 +212,11 @@ class TestTree:
 
 
     def test_evaluate_and_route_match_per_sample_walk(self):
-        """Both routings agree with a walk from the root, ties and polarities included."""
-        for seed in range(40):
+        """Both routings agree with a walk from the root, ties and polarities
+        included, on both sides of SELECT_MAX_DEPTH."""
+        for seed in range(48):
             rng = np.random.default_rng(seed)
-            depth = 1 + seed % 4
+            depth = 1 + seed % 8
             x = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(30, 3))
             tree = Tree(depth=depth, nodes=[
                 Stump(int(rng.integers(0, 3)), float(rng.choice([-0.5, 0.0, 0.5])),
