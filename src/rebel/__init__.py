@@ -4,8 +4,8 @@ from .costs import CostMatrix, decompose_row, loss_floor, normalize_random_unit,
 from .io import Dataset, load_dataset, load_model, save_model
 from .loss import LossReport, coupled_sum, empirical_risk, surrogate_loss
 from .weak import Stump, Tree, build_grid, grow_layer, stump_search
-from .boost import StrongClassifier, TrainConfig, predict, train
-from .baselines import adaboost_train, estimate_posterior, two_step_predict
+from .boost import StrongClassifier, TrainConfig, predict_all, train
+from .baselines import adaboost_train, posterior_all, two_step_predict_all
 from .evaluation import evaluate, select_rounds
 from .synth import gen_cost_matrix, gen_dataset, random_mixture_spec, run_comparison
 

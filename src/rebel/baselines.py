@@ -100,36 +100,27 @@ def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
     return model
 
 
-def estimate_posterior(model: StrongClassifier, x: np.ndarray) -> np.ndarray:
-    """The two-step baseline's class weights for one sample: softmax of twice the scores.
+def posterior_all(model: StrongClassifier, features: np.ndarray) -> np.ndarray:
+    """The two-step baseline's class weights per row: softmax of twice the scores.
 
     This is the link the baseline is defined with, not the posterior implied
     by the trainer's loss.  With 0-1 costs the surrogate is minimized class by
     class at H_k = ln(p_k / (1 - p_k)) / 2, whose inverse is
     p_k = sigmoid(2 H_k); softmax(2H) instead weighs class k in proportion to
-    p_k / (1 - p_k), which overweights the likeliest class.
+    p_k / (1 - p_k), which overweights the likeliest class.  The row maximum
+    is shifted out before exponentiating.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return posterior_all(model, x[None, :])[0]
-
-
-def posterior_all(model: StrongClassifier, features: np.ndarray) -> np.ndarray:
-    """Batch `estimate_posterior`: softmax(2H) per row, with the row maximum shifted out."""
     h = 2.0 * model.scores(features)
     h -= h.max(axis=1, keepdims=True)
     e = np.exp(h)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def two_step_predict(posterior: np.ndarray, costs: CostMatrix) -> int:
-    """Minimum expected cost class under an estimated posterior (ties to lowest index)."""
-    posterior = np.asarray(posterior, dtype=np.float64)
-    if posterior.shape != (costs.k,):
-        raise ValueError(f"posterior must have {costs.k} entries")
-    return int(np.argmin(posterior @ costs.entries)) + 1
-
-
 def two_step_predict_all(posteriors: np.ndarray, costs: CostMatrix) -> np.ndarray:
+    """Minimum expected cost class per row of estimated posteriors, 1-based (ties to lowest index)."""
+    posteriors = np.asarray(posteriors, dtype=np.float64)
+    if posteriors.ndim != 2 or posteriors.shape[1] != costs.k:
+        raise ValueError(f"posteriors must be an (N, {costs.k}) array")
     return np.argmin(posteriors @ costs.entries, axis=1) + 1
 
 

@@ -42,6 +42,9 @@ TEMPERATURE = 3.0  # softmax sharpness of the smoothed risk
 GOLDEN_ITERS = 8  # golden-section steps of a smoothed-risk round's line search
 
 
+_SIGNS = np.array([-1.0, 1.0])  # a tree's output, indexed by its +1 side as 0 or 1
+
+
 class NumericOverflowError(RuntimeError):
     """A weight left the representable range; training cannot continue."""
 
@@ -63,9 +66,11 @@ class StrongClassifier:
     def _walk(self, features: np.ndarray) -> Iterator[np.ndarray]:
         """Class-major (K, N) running scores: a0 first, then after each round.
 
-        Yields one buffer, updated in place.  Each round adds +a or -a per
-        sample, exactly out * a for out in {-1, +1}, in round order: a
-        reordered sum (a matmul over rounds, say) would change the low bits.
+        Yields one buffer, updated in place.  Each round adds a * out per
+        sample, out in {-1.0, +1.0}: exact, with the signed zeros of +a and
+        -a, and free of the per-element branch of a select.  Rounds are added
+        in order: a reordered sum (a matmul over rounds, say) would change
+        the low bits.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
@@ -74,9 +79,12 @@ class StrongClassifier:
         by_column = np.ascontiguousarray(features.T).T
         h = np.repeat(self.a0[:, None], features.shape[0], axis=1)
         yield h
+        step = np.empty_like(h)
         for tree, vector in self.rounds:
-            up = vector[:, None]
-            h += np.where(tree.plus_side(by_column), up, -up)
+            side = tree.plus_side(by_column).view(np.uint8)
+            # positional out arguments: at 64 rows the call overhead is the cost
+            np.multiply(vector[:, None], _SIGNS.take(side), step)
+            np.add(h, step, h)
             yield h
 
     def staged_scores(self, features: np.ndarray) -> Iterator[np.ndarray]:
@@ -354,15 +362,6 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
     return model, trace
 
 
-def predict(model: StrongClassifier, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Minimum-risk class estimate (argmax score, ties to the lowest index) for one sample."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d,):
-        raise ValueError(f"expected {model.d} features, got shape {x.shape}")
-    scores = model.scores(x[None, :])[0]
-    return int(np.argmax(scores)) + 1, scores
-
-
 def predict_all(model: StrongClassifier, features: np.ndarray) -> np.ndarray:
-    """1-based class estimates for a feature matrix."""
+    """Minimum-risk class estimates, 1-based, one per row: argmax score, ties to the lowest index."""
     return np.argmax(model.scores(features), axis=1) + 1

@@ -5,6 +5,7 @@ save -> load -> save reproduces the original file byte for byte.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +49,43 @@ class Dataset:
         return cls(features=features, labels=labels, k=k)
 
 
-def _read_rows(path) -> list[list[str]]:
-    rows = []
+# The bytes of a file NumPy's C reader is given.  On them it strips a cell of
+# the same whitespace as `float()` and converts it with the same
+# `PyOS_string_to_double`.  It also strips `\x1c` to `\x1f`, which `float()`
+# rejects, and it reads non-ASCII digits and whitespace unlike `float()`.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
+def _is_plain(path) -> bool:
+    """Whether every byte of the file is printable ASCII, tab, LF or CR.
+
+    Reads 1 MiB at a time, so no second copy of the whole file is held.
+    """
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return False
+    return True
+
+
+def _read_lines(path) -> tuple[list[tuple[int, str]], int]:
+    """The (line number, stripped line) of every nonblank line, and their cell count.
+
+    Lines are split on LF, CRLF or a lone CR and stripped of Unicode
+    whitespace; every line must hold the first line's number of cells.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped:
-                continue  # blank lines (trailing or otherwise) are ignored
-            rows.append((line_no, stripped.split(",")))
-    if not rows:
+        # blank lines (trailing or otherwise) are ignored
+        lines = [(line_no, stripped) for line_no, line in enumerate(fh, 1)
+                 if (stripped := line.strip())]
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    for line_no, cells in rows:
-        if len(cells) != width:
-            raise ValueError(f"{path}: line {line_no}: expected {width} cells, got {len(cells)}")
-    return rows
+    commas = lines[0][1].count(",")
+    for line_no, stripped in lines:
+        if stripped.count(",") != commas:
+            raise ValueError(f"{path}: line {line_no}: expected {commas + 1} cells, "
+                             f"got {stripped.count(',') + 1}")
+    return lines, commas + 1
 
 
 def _parse_feature(token: str, path, line_no: int, col: int) -> float:
@@ -75,21 +98,42 @@ def _parse_feature(token: str, path, line_no: int, col: int) -> float:
     return val
 
 
-def _parse_columns(path, rows: list, cols: list[int]) -> np.ndarray:
-    """The (N, len(cols)) float matrix of the chosen columns of `_read_rows` output.
+def _parse_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.ndarray:
+    """The (N, len(cols)) float matrix of the chosen columns of `_read_lines` output.
 
-    One `float()` pass over all tokens, then one finiteness check.  Only if
-    either fails are the cells scanned one by one, to report the first bad
-    cell by line and column.
+    Two readers give one result.  A file whose bytes are all printable ASCII,
+    tab, LF or CR goes to NumPy's C reader (`np.loadtxt`), with warnings
+    raised as errors; its matrix is kept if it has one row per line of
+    `lines` and only finite values.  Every other file, and every plain file
+    that matrix is not kept for, goes through `float()`: one pass over all
+    chosen cells, one finiteness check, and only if either fails, a
+    cell-by-cell scan that reports the first bad cell by line and column.
+    On plain cells both readers hand the stripped cell to
+    `PyOS_string_to_double`, so the values, the accepted inputs and the
+    messages are those of `float()`.  The C reader never sees a ragged row:
+    `_read_lines` has checked every line's width.
     """
-    tokens = [cells[col] for _, cells in rows for col in cols]
+    if _is_plain(path):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None,
+                                    ndmin=2, usecols=cols, encoding="utf-8")
+        except (ValueError, Warning):
+            values = None  # e.g. `1_0` or a whitespace-only line, which float() takes
+        if values is not None and values.shape == (len(lines), len(cols)) \
+                and np.isfinite(values).all():
+            return values
+    tokens = [cells[col] for cells in (stripped.split(",") for _, stripped in lines)
+              for col in cols]
     try:
         flat = np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
         flat = None
     if flat is not None and np.isfinite(flat).all():
-        return flat.reshape(len(rows), len(cols))
-    for line_no, cells in rows:
+        return flat.reshape(len(lines), len(cols))
+    for line_no, stripped in lines:
+        cells = stripped.split(",")
         for col in cols:
             _parse_feature(cells[col], path, line_no, col)
     raise AssertionError("bulk parse failed on cells that parse one by one")
@@ -102,16 +146,21 @@ def load_dataset(path, labels: str) -> Dataset:
     integer meaning the same, or "file:PATH" pointing at one label token per
     line.  Raw label tokens are mapped to 1..K by sorted order and the order
     is kept in label_names.
+
+    Nonblank lines are stripped and must all hold the same number of
+    comma-separated cells.  A label token is its stripped line's cell,
+    untrimmed.  The feature cells are parsed by `_parse_columns`: NumPy's C
+    reader when every byte of the file is printable ASCII, tab, LF or CR,
+    `float()` otherwise, with the same values and messages either way.
     """
-    rows = _read_rows(path)
-    width = len(rows[0][1])
+    lines, width = _read_lines(path)
 
     if labels.startswith("file:"):
         label_path = labels[5:]
         with open(label_path, "r", encoding="utf-8") as fh:
             tokens = [ln.strip() for ln in fh if ln.strip()]
-        if len(tokens) != len(rows):
-            raise ValueError(f"{label_path}: {len(tokens)} labels for {len(rows)} data rows")
+        if len(tokens) != len(lines):
+            raise ValueError(f"{label_path}: {len(tokens)} labels for {len(lines)} data rows")
         feature_cols = list(range(width))
     else:
         spec = labels[4:] if labels.startswith("col:") else labels
@@ -122,12 +171,15 @@ def load_dataset(path, labels: str) -> Dataset:
         if not -width <= idx < width:
             raise ValueError(f"label column {idx} out of range for {width} columns")
         idx %= width
-        tokens = [cells[idx] for _, cells in rows]
+        if idx == width - 1:
+            tokens = [stripped.rpartition(",")[2] for _, stripped in lines]
+        else:
+            tokens = [stripped.split(",", idx + 1)[idx] for _, stripped in lines]
         feature_cols = [c for c in range(width) if c != idx]
 
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns left")
-    features = _parse_columns(path, rows, feature_cols)
+    features = _parse_columns(path, lines, feature_cols)
 
     names = sorted(set(tokens))
     index = {name: i + 1 for i, name in enumerate(names)}
@@ -138,9 +190,12 @@ def load_dataset(path, labels: str) -> Dataset:
 
 
 def load_features(path) -> np.ndarray:
-    """Load an all-numeric CSV (no label column) as a feature matrix."""
-    rows = _read_rows(path)
-    return _parse_columns(path, rows, list(range(len(rows[0][1]))))
+    """Load an all-numeric CSV (no label column) as a feature matrix.
+
+    The same line and width rules and the same two readers as `load_dataset`.
+    """
+    lines, width = _read_lines(path)
+    return _parse_columns(path, lines, list(range(width)))
 
 
 def save_dataset(data: Dataset, path) -> None:

@@ -39,10 +39,9 @@ def naive_stump_search(X, w_plus, w_minus, grid):
     raise AssertionError("unreachable")
 
 
-def cell_by_cell_parse(path, cols=None):
-    """CSV feature parse one cell at a time: nonblank lines split on commas,
-    `float()` per chosen cell (all cells if `cols` is None), and the first
-    bad cell in row-major order named by line and column."""
+def _cell_rows(path):
+    """(line number, cells) of the nonblank lines, split on commas after
+    stripping; every line must have the first line's number of cells."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -54,7 +53,10 @@ def cell_by_cell_parse(path, cols=None):
     for line_no, cells in rows:
         if len(cells) != width:
             raise ValueError(f"{path}: line {line_no}: expected {width} cells, got {len(cells)}")
-    cols = range(width) if cols is None else cols
+    return rows
+
+
+def _parse_cells(path, rows, cols):
     out = np.empty((len(rows), len(cols)))
     for r, (line_no, cells) in enumerate(rows):
         for c, col in enumerate(cols):
@@ -69,6 +71,33 @@ def cell_by_cell_parse(path, cols=None):
                                  f"non-finite value {token!r}")
             out[r, c] = val
     return out
+
+
+def cell_by_cell_parse(path, cols=None):
+    """CSV feature parse one cell at a time: nonblank lines split on commas,
+    `float()` per chosen cell (all cells if `cols` is None), and the first
+    bad cell in row-major order named by line and column."""
+    rows = _cell_rows(path)
+    cols = range(len(rows[0][1])) if cols is None else cols
+    return _parse_cells(path, rows, cols)
+
+
+def cell_by_cell_dataset(path, label_col):
+    """`cell_by_cell_parse` of every column but `label_col` (a Python index),
+    plus 1-based labels and their sorted names: a label token is the stripped
+    line's cell, untrimmed, and tokens number 1..K in sorted order."""
+    rows = _cell_rows(path)
+    width = len(rows[0][1])
+    if not -width <= label_col < width:
+        raise ValueError(f"label column {label_col} out of range for {width} columns")
+    label_col %= width
+    if width == 1:
+        raise ValueError(f"{path}: no feature columns left")
+    features = _parse_cells(path, rows, [c for c in range(width) if c != label_col])
+    tokens = [cells[label_col] for _, cells in rows]
+    names = sorted(set(tokens))
+    labels = np.array([names.index(t) + 1 for t in tokens], dtype=np.int64)
+    return features, labels, names
 
 
 def tree_outputs(tree, features):

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from rebel.baselines import (BinaryAdaBoostModel, adaboost_train, estimate_posterior,
-                             posterior_all, random_binary_dataset, run_reduction_trial,
-                             two_step_predict, two_step_predict_all)
+from rebel.baselines import (BinaryAdaBoostModel, adaboost_train, posterior_all,
+                             random_binary_dataset, run_reduction_trial, two_step_predict_all)
 from rebel.costs import CostMatrix
 from rebel.weak import Stump
 
@@ -61,12 +60,12 @@ class TestTwoStep:
     def test_asymmetric_costs_flip_decision(self):
         costs = CostMatrix.from_array(np.array([[0.0, 1.0], [10.0, 0.0]]))
         # expected costs are [5, 0.5]: guessing class 2 is far cheaper
-        assert two_step_predict(np.array([0.5, 0.5]), costs) == 2
-        assert two_step_predict(np.array([0.5, 0.5]), CostMatrix.uniform(2)) == 1
+        assert two_step_predict_all(np.array([[0.5, 0.5]]), costs)[0] == 2
+        assert two_step_predict_all(np.array([[0.5, 0.5]]), CostMatrix.uniform(2))[0] == 1
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            two_step_predict(np.array([0.5, 0.3, 0.2]), CostMatrix.uniform(2))
+            two_step_predict_all(np.array([[0.5, 0.3, 0.2]]), CostMatrix.uniform(2))
 
     def test_posterior_normalizes(self, rng):
         model = random_model(5, k=4, d=3, rounds=6)
@@ -78,14 +77,14 @@ class TestTwoStep:
     def test_posterior_uniform_at_zero_model(self):
         from rebel.boost import StrongClassifier
         model = StrongClassifier(k=4, d=2, a0=np.zeros(4), rounds=[], fingerprint="")
-        post = estimate_posterior(model, np.zeros(2))
+        post = posterior_all(model, np.zeros((1, 2)))[0]
         np.testing.assert_allclose(post, 0.25, atol=1e-15)
 
     def test_posterior_stable_at_large_scores(self):
         from rebel.boost import StrongClassifier
         model = StrongClassifier(k=3, d=1, a0=np.array([500.0, 0.0, -500.0]),
                                  rounds=[], fingerprint="")
-        post = estimate_posterior(model, np.zeros(1))
+        post = posterior_all(model, np.zeros((1, 1)))[0]
         assert np.all(np.isfinite(post))
         assert post[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -94,5 +93,5 @@ class TestTwoStep:
             [0.0, 0.3, 2.0], [1.5, 0.0, 0.4], [0.2, 3.0, 0.0]]))
         posts = rng.dirichlet(np.ones(3), size=25)
         batch = two_step_predict_all(posts, costs)
-        singles = [two_step_predict(p, costs) for p in posts]
+        singles = [two_step_predict_all(p[None, :], costs)[0] for p in posts]
         np.testing.assert_array_equal(batch, singles)

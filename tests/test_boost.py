@@ -9,7 +9,7 @@ from conftest import random_costs, random_problem
 from reference_impl import round_order_scores
 from rebel import boost
 from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
-                         fit_constant, init_weights, predict, predict_all, train,
+                         fit_constant, init_weights, predict_all, train,
                          update_weights)
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.io import Dataset, model_from_text, model_to_text
@@ -268,23 +268,23 @@ class TestPredict:
     def test_tie_goes_to_lowest_index(self):
         model = StrongClassifier(k=3, d=2, a0=np.array([0.5, 0.5, 0.0]),
                                  rounds=[], fingerprint="")
-        label, scores = predict(model, np.array([0.0, 0.0]))
-        assert label == 1
-        np.testing.assert_array_equal(scores, [0.5, 0.5, 0.0])
+        x = np.zeros((1, 2))
+        np.testing.assert_array_equal(predict_all(model, x), [1])
+        np.testing.assert_array_equal(model.scores(x)[0], [0.5, 0.5, 0.0])
 
     def test_shape_validation(self):
         model = StrongClassifier(k=2, d=3, a0=np.zeros(2), rounds=[], fingerprint="")
         with pytest.raises(ValueError):
-            predict(model, np.zeros(2))
+            predict_all(model, np.zeros((1, 2)))
         with pytest.raises(ValueError):
             model.scores(np.zeros((4, 2)))
 
-    def test_predict_all_matches_predict(self, rng):
+    def test_predict_all_matches_single_rows(self, rng):
         from conftest import random_model
         model = random_model(3, k=3, d=4, rounds=5)
         x = rng.normal(size=(20, 4))
         batch = predict_all(model, x)
-        singles = [predict(model, x[i])[0] for i in range(20)]
+        singles = [predict_all(model, x[i:i + 1])[0] for i in range(20)]
         np.testing.assert_array_equal(batch, singles)
 
 

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model, random_problem
-from reference_impl import cell_by_cell_parse
+from reference_impl import cell_by_cell_dataset, cell_by_cell_parse
 from rebel.boost import TrainConfig, train
 from rebel.io import (Dataset, ModelParseError, load_dataset, load_features,
                       load_model, model_from_text, model_to_text, save_dataset,
@@ -129,73 +129,141 @@ def test_load_features_plain(tmp_path):
     np.testing.assert_array_equal(load_features(path), [[1.0, -2.5], [0.25, 3.0]])
 
 
-# cell tokens the bulk parse must treat exactly as float() does: plain and
-# padded numbers, sign and exponent forms, underscores, non-ASCII digits,
-# then non-finite spellings, overflow, and non-numbers
-_NUMBERS = st.one_of(
+# cell tokens both readers must treat exactly as float() does: numbers
+# NumPy's reader also takes (plain, padded, sign and exponent forms), then
+# underscores and non-ASCII digits, then non-finite spellings, overflow and
+# non-numbers
+_PLAIN_NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10 ** 6, 10 ** 6).map(str),
-    st.sampled_from(["+1.5", "-2e3", "+1E-3", ".5", "5.", "-0", "-0.0", "1_0", "1_000.5",
-                     "\u0661\u0662", "1e308"]),
+    st.sampled_from(["+1.5", "-2e3", "+1E-3", ".5", "5.", "-0", "-0.0", "1e308"]),
 )
+_NUMBERS = st.one_of(_PLAIN_NUMBERS, st.sampled_from(["1_0", "1_000.5", "\u0661\u0662"]))
 _ANY = st.one_of(
     _NUMBERS,
     st.sampled_from(["1e309", "-1e309", "nan", "NaN", "-inf", "Infinity", "", "abc", "1.2.3",
                      "0x10", "1__0", "_1", "1e", "- 1"]),
 )
-_PADS = st.sampled_from(["", " ", "\t", "  "])
+_LABELS = st.sampled_from(["a", "b", "1", "10", "2", "-0", "x y", "nan", ""])
+# padding of a cell, or the whole of a whitespace-only line: first what both
+# readers strip alike, then control and non-ASCII characters that `float()`,
+# `str.strip` and NumPy's reader do not all treat alike
+_PLAIN_PADS = st.sampled_from(["", " ", "\t", "  "])
+_ANY_PADS = st.one_of(_PLAIN_PADS, st.sampled_from(
+    ["\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+     "\u3000"]))
 
 
 @st.composite
-def _csv_text(draw, width):
-    """Rows of `width` padded cells, all numbers or any tokens, with CRLF or LF
-    endings and blank lines between them."""
-    tokens = draw(st.sampled_from([_NUMBERS, _ANY]))
-    cells = st.tuples(_PADS, tokens, _PADS).map("".join)
-    n = draw(st.integers(1, 6))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+def _csv_text(draw, width, label_col=None):
+    """Rows of `width` padded cells, the cells at `label_col` label-like.
+
+    Half the files are clean: 1-6 rows of numbers NumPy's reader takes, with
+    plain padding and empty lines between rows.  The others draw, per file,
+    from everything the readers must agree on: any tokens and padding, 0
+    rows, whitespace-only lines, a BOM, a trailing comma on every row, or
+    one later row a cell short or long.  Line endings are LF, CRLF or lone
+    CR.
+    """
+    clean = draw(st.booleans())
+
+    def pick(plain, *others):
+        return plain if clean else draw(st.sampled_from([plain, *others]))
+
+    tokens = pick(_PLAIN_NUMBERS, _NUMBERS, _ANY)
+    pads = pick(_PLAIN_PADS, _ANY_PADS)
+    blank = st.just("") if clean else st.tuples(pads, pads).map("".join)
+    cell = st.tuples(pads, tokens, pads).map("".join)
+    label = st.tuples(pads, _LABELS, pads).map("".join)
+    n = draw(st.integers(1 if clean else 0, 6))
+    trailing = pick("", ",")
+    ragged = None if clean or n < 2 or not draw(st.booleans()) else draw(st.integers(1, n - 1))
     lines = []
-    for _ in range(n):
-        lines += [""] * draw(st.integers(0, 1))
-        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
-    return ending.join(lines) + ending * draw(st.integers(0, 2))
+    for r in range(n):
+        lines += [draw(blank) for _ in range(draw(st.integers(0, 1)))]
+        cells = [draw(label if c == label_col else cell) for c in range(width)]
+        if r == ragged:
+            cells = cells[:-1] if draw(st.booleans()) else cells + [draw(cell)]
+        lines.append(",".join(cells) + trailing)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return pick("", "\ufeff") + ending.join(lines) + ending * draw(st.integers(0, 2))
+
+
+@st.composite
+def _labelled_csv(draw):
+    """A `_csv_text` with its label column, as a Python index (may be negative)."""
+    width = draw(st.integers(2, 4))
+    label_col = draw(st.integers(-width, width - 1))
+    return draw(_csv_text(width, label_col % width)), label_col
 
 
 def _outcome(parse):
-    """The parsed array's shape and bytes, or the error message."""
+    """The parsed arrays' shapes and bytes (and any other results), or the error message."""
     try:
-        arr = parse()
+        result = parse()
     except ValueError as exc:
         return "error", str(exc)
-    return arr.shape, arr.tobytes()
+    return [(r.shape, r.tobytes()) if isinstance(r, np.ndarray) else r
+            for r in (result if isinstance(result, tuple) else (result,))]
+
+
+def _outcomes(text, *parsers):
+    """Each parser's `_outcome` on one file holding `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return [_outcome(lambda: parse(path)) for parse in parsers]
 
 
 class TestBulkParse:
-    """The one-pass parse against a cell-by-cell reference: byte-equal arrays
-    or the same first-bad-cell message."""
+    """Both readers against a cell-by-cell reference: byte-equal arrays, equal
+    labels and label names, or the same first-bad-cell message.
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_load_features_matches_cell_by_cell(self, data):
-        text = data.draw(_csv_text(data.draw(st.integers(1, 4))))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "f.csv"
-            path.write_bytes(text.encode("utf-8"))
-            assert _outcome(lambda: load_features(path)) == \
-                _outcome(lambda: cell_by_cell_parse(path))
+    The examples are the inputs on which NumPy's reader and `float()` were
+    seen to differ; each fails if the guard that covers it is dropped.
+    """
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_load_dataset_matches_cell_by_cell(self, data):
-        width = data.draw(st.integers(2, 4))
-        label_col = data.draw(st.integers(0, width - 1))
-        text = data.draw(_csv_text(width))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "d.csv"
-            path.write_bytes(text.encode("utf-8"))
-            cols = [c for c in range(width) if c != label_col]
-            assert _outcome(lambda: load_dataset(path, f"col:{label_col}").features) == \
-                _outcome(lambda: cell_by_cell_parse(path, cols))
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.integers(1, 4).flatmap(_csv_text))
+    # float() rejects the cell, NumPy's reader strips the \x1c: the byte screen
+    @example(text="1\x1c,2\n")
+    # NumPy's reader rejects the whitespace-only line, which is skipped: the
+    # fallback must be a complete parse
+    @example(text="1,2\n  \n3,4\n")
+    # NumPy's reader only warns on an empty file
+    @example(text="")
+    # NumPy's reader takes overflow to inf: the finiteness check
+    @example(text="1,1e309\n")
+    def test_load_features_matches_cell_by_cell(self, text):
+        fast, reference = _outcomes(text, load_features, cell_by_cell_parse)
+        assert fast == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_labelled_csv())
+    # NumPy's reader takes the chosen columns of a short row: the width check
+    @example(case=("1.0,2.0\n3.0\n", -1))
+    def test_load_dataset_matches_cell_by_cell(self, case):
+        text, label_col = case
+
+        def load(path):
+            data = load_dataset(path, f"col:{label_col}")
+            return data.features, data.labels, data.label_names
+
+        fast, reference = _outcomes(text, load, lambda path: cell_by_cell_dataset(path, label_col))
+        assert fast == reference
+
+    def test_only_plain_files_reach_the_c_reader(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw))
+        plain = tmp_path / "plain.csv"
+        plain.write_text(" 1.5,-2\t\r\n3,4e1\n")
+        np.testing.assert_array_equal(load_features(plain), [[1.5, -2.0], [3.0, 40.0]])
+        assert len(calls) == 1
+        padded = tmp_path / "padded.csv"
+        padded.write_text("1.5,\xa0-2\n3,4e1\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_features(padded), [[1.5, -2.0], [3.0, 40.0]])
+        assert len(calls) == 1
 
 
 class TestModelFormat:
