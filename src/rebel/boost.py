@@ -81,9 +81,9 @@ class StrongClassifier:
         yield h
         step = np.empty_like(h)
         for tree, vector in self.rounds:
-            side = tree.plus_side(by_column).view(np.uint8)
-            # positional out arguments: at 64 rows the call overhead is the cost
-            np.multiply(vector[:, None], _SIGNS.take(side), step)
+            # a bool array indexes `_SIGNS` as 0/1; positional out arguments,
+            # since at 64 rows the cost is call overhead
+            np.multiply(vector[:, None], _SIGNS.take(tree.plus_side(by_column)), step)
             np.add(h, step, h)
             yield h
 
