@@ -1,0 +1,91 @@
+"""Trained models and traces, byte for byte, against files recorded in tests/data/trained/.
+
+Two seeded runs are retrained and compared as text:
+
+- a criterion-4-protocol block: one comparison dataset (seed 0's first
+  dataset seed) trained with uniform costs and with each of 4 normalized
+  half-normal cost matrices, 100 stump rounds, a0 fitted;
+- a depth-3, K=5, 70-round run on a problem with a constant feature and
+  unequal cost rows, so that it passes WARM_ROUNDS into the smoothed-risk
+  phase.
+
+A change that alters any bit of training shows here as a changed file.  To
+record a deliberate output change, run `python tests/test_trained_outputs.py`
+from the repo root with `src` on the path, and say why in the change.
+"""
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rebel.boost import WARM_ROUNDS, TrainConfig, train
+from rebel.costs import CostMatrix
+from rebel.io import Dataset, model_to_text, write_trace
+from rebel.synth import gen_cost_matrix, gen_dataset, random_mixture_spec
+
+DATA = Path(__file__).parent / "data" / "trained"
+
+
+def grid_block_runs():
+    """(name, model, trace) for the block run_comparison(1, 4, seed=0) trains."""
+    rng = np.random.default_rng(0)
+    dataset_seed = int(rng.integers(1, 2 ** 31, size=1)[0])
+    cost_seeds = rng.integers(1, 2 ** 31, size=4)
+    spec = random_mixture_spec(seed=dataset_seed)
+    train_data, _ = gen_dataset(spec)
+    cfg = TrainConfig(rounds=100, tree_depth=1, fit_a0=True)
+    runs = [("grid_uniform", *train(train_data, CostMatrix.uniform(spec.k), cfg))]
+    for j, seed in enumerate(cost_seeds):
+        costs = gen_cost_matrix(spec.k, int(seed), labels=train_data.labels)
+        runs.append((f"grid_costs{j}", *train(train_data, costs, cfg)))
+    return runs
+
+
+def deep_risk_run():
+    """(name, model, trace) of a depth-3, K=5 run that reaches the smoothed-risk phase."""
+    rng = np.random.default_rng(2024)
+    n, k = 400, 5
+    labels = rng.integers(1, k + 1, size=n)
+    centers = rng.uniform(-1.5, 1.5, size=(k, 3))
+    x = centers[labels - 1] + rng.normal(size=(n, 3))
+    features = np.column_stack([x[:, 0], np.full(n, 0.25), x[:, 1:]])
+    entries = rng.uniform(0.2, 3.0, size=(k, k))
+    np.fill_diagonal(entries, 0.0)
+    data = Dataset.from_arrays(features, labels, k)
+    model, trace = train(data, CostMatrix.from_array(entries),
+                         TrainConfig(rounds=70, tree_depth=3, n_tau=50))
+    return [("deep_risk", model, trace)]
+
+
+def all_runs():
+    return grid_block_runs() + deep_risk_run()
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return all_runs()
+
+
+def test_deep_run_reaches_the_risk_phase(runs):
+    trace = dict((name, t) for name, _, t in runs)["deep_risk"]
+    assert len(trace.rounds) == 70
+    assert [r.phase for r in trace.rounds].count("risk") == 70 - WARM_ROUNDS
+
+
+@pytest.mark.parametrize("name", ["grid_uniform", "grid_costs0", "grid_costs1",
+                                  "grid_costs2", "grid_costs3", "deep_risk"])
+def test_retrained_outputs_match_the_record(runs, name, tmp_path):
+    model, trace = dict((n, (m, t)) for n, m, t in runs)[name]
+    write_trace(trace, tmp_path / "trace.csv")
+    assert model_to_text(model) == (DATA / f"{name}.model").read_text(encoding="utf-8")
+    assert (tmp_path / "trace.csv").read_bytes() == (DATA / f"{name}.trace.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, model, trace in all_runs():
+        (DATA / f"{name}.model").write_text(model_to_text(model), encoding="utf-8")
+        write_trace(trace, DATA / f"{name}.trace.csv")
+        print(f"wrote {name}: {len(model.rounds)} rounds, stopped {trace.stopped}",
+              file=sys.stderr)
