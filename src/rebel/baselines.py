@@ -14,7 +14,7 @@ import numpy as np
 
 from .boost import StrongClassifier, TrainConfig, train
 from .costs import CostMatrix
-from .weak import SELECTION_SLACK, Stump, build_grid, first_within_slack
+from .weak import SELECTION_SLACK, Stump, build_grid, cut_sums, first_within_slack
 
 if TYPE_CHECKING:
     from .io import Dataset
@@ -65,16 +65,14 @@ def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
 
     for _ in range(rounds):
         total = weights.sum()
-        pos_mass = np.where(y_star > 0, weights, 0.0)
-        neg_mass = np.where(y_star < 0, weights, 0.0)
-        tot_neg = neg_mass.sum()
+        masses = np.stack((np.where(y_star > 0, weights, 0.0), np.where(y_star < 0, weights, 0.0)))
+        tot_neg = masses[1].sum()
         rows = []
         lowest = np.inf
         for j, thr in enumerate(grid.thresholds):
             m = thr.shape[0]
-            bucket = grid.buckets[j]
-            below_pos = np.cumsum(np.bincount(bucket, weights=pos_mass, minlength=m + 1))[:m]
-            below_neg = np.cumsum(np.bincount(bucket, weights=neg_mass, minlength=m + 1))[:m]
+            hist = cut_sums(grid.buckets[j], masses, m + 1)
+            below_pos, below_neg = np.cumsum(hist, axis=1)[:, :m]
             # +1-polarity error: negatives above the cut plus positives below it
             err_plus = (tot_neg - below_neg) + below_pos
             key = np.minimum(err_plus, total - err_plus)

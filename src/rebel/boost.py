@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .costs import CostMatrix, dataset_terms, loss_floor
-from .loss import smoothed_risk
+from .loss import class_major_risk
 from .weak import (LearnerFit, SplitScores, ThresholdGrid, Tree, WeightState, accumulate_split,
                    build_grid, grow_layer, optimal_vector, stump_search)
 
@@ -153,26 +153,28 @@ class TrainTrace:
 def init_weights(costs: CostMatrix, data: "Dataset") -> WeightState:
     """Weights at the zero model: the raw (c_plus, c_minus) pairs per sample."""
     c_plus, c_minus, _, _ = dataset_terms(costs, data.labels)
-    return WeightState(w_plus=c_plus.copy(), w_minus=c_minus.copy())
+    return WeightState(w_plus=c_plus, w_minus=c_minus)
 
 
 def fit_constant(weights: WeightState, epsilon: float) -> np.ndarray:
     """Closed-form constant score offset (the a0 term); updates weights in place."""
-    ones = np.ones(weights.w_plus.shape[0], dtype=np.int64)
+    k = weights.k
+    ones = np.ones(weights.w.shape[1], dtype=np.int64)
     a0, _ = optimal_vector(accumulate_split(ones, weights), epsilon)
-    weights.w_plus *= np.exp(a0)
-    weights.w_minus *= np.exp(-a0)
+    weights.w[:k] *= np.exp(a0)[:, None]
+    weights.w[k:] *= np.exp(-a0)[:, None]
     return a0
 
 
 def update_weights(weights: WeightState, outputs: np.ndarray, vector: np.ndarray,
                    round_index: int | None = None) -> WeightState:
     """Multiply in the round's contribution: w+ *= exp(f a), w- *= exp(-f a), in place."""
+    k = weights.k
     with np.errstate(over="ignore"):
-        shift = np.exp(outputs[:, None] * vector)
-        weights.w_plus *= shift
-        weights.w_minus /= shift
-    peak = max(weights.w_plus.max(), weights.w_minus.max())
+        shift = np.exp(vector[:, None] * outputs)
+        weights.w[:k] *= shift
+        weights.w[k:] /= shift
+    peak = weights.w.max()
     if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
         raise NumericOverflowError(round_index)
     return weights
@@ -219,7 +221,7 @@ def fit_learner(data: "Dataset", weights: WeightState, grid: ThresholdGrid, epsi
 
 def risk_round(data: "Dataset", h: np.ndarray, cost_rows: np.ndarray, grid: ThresholdGrid,
                epsilon: float, depth: int) -> tuple[Tree, np.ndarray, np.ndarray, float]:
-    """One round on the smoothed risk from scores h.
+    """One round on the smoothed risk from class-major (K, N) scores h and cost rows.
 
     Returns the learner, its outputs on the training features, its vector
     and the smoothed risk after the round.
@@ -236,18 +238,25 @@ def risk_round(data: "Dataset", h: np.ndarray, cost_rows: np.ndarray, grid: Thre
     leaves no slope for later rounds.  A round that cannot lower the risk
     comes back with a zero vector.
     """
-    before, q, expected = smoothed_risk(h, cost_rows, TEMPERATURE)
-    slope = q * (expected[:, None] - cost_rows)
-    pull = WeightState(w_plus=np.maximum(-slope, 0.0), w_minus=np.maximum(slope, 0.0))
-    learner, direction, _, outputs, _ = fit_learner(data, pull, grid, epsilon, depth)
+    k = h.shape[0]
+    before, q, expected = class_major_risk(h, cost_rows, TEMPERATURE)
+    slope = q * (expected - cost_rows)
+    pull = np.empty((2 * k, h.shape[1]))
+    np.maximum(-slope, 0.0, out=pull[:k])
+    np.maximum(slope, 0.0, out=pull[k:])
+    learner, direction, _, outputs, _ = fit_learner(data, WeightState.class_major(pull), grid,
+                                                    epsilon, depth)
     reach = float(np.max(np.abs(direction)))
     if reach == 0.0:
         return learner, outputs, direction, before
 
-    move = outputs[:, None] * direction
+    move = direction[:, None] * outputs
+    moved = np.empty_like(h)
 
     def risk(step):
-        return smoothed_risk(h + step * move, cost_rows, TEMPERATURE)[0]
+        np.multiply(move, step, out=moved)
+        np.add(moved, h, out=moved)
+        return class_major_risk(moved, cost_rows, TEMPERATURE, out=moved)[0]
 
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, 1.0 / (TEMPERATURE * reach)
@@ -299,14 +308,17 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
     floor, certificate = loss_floor(costs, data.labels)
 
     weights = init_weights(costs, data)
-    h = np.zeros((n, costs.k))
+    h = np.zeros((costs.k, n))  # class-major scores
     a0 = np.zeros(costs.k)
     if cfg.fit_a0:
         a0 = fit_constant(weights, epsilon)
-        h += a0
+        h += a0[:, None]
 
     def current_loss() -> float:
-        mass = (weights.w_plus.sum() + weights.w_minus.sum()) / (2.0 * n)
+        # whole-array sums of C-ordered (N, K) copies: summed in the buffer's
+        # class-major order, the mass would differ in the last bits
+        mass = (np.ascontiguousarray(weights.w_plus).sum()
+                + np.ascontiguousarray(weights.w_minus).sum()) / (2.0 * n)
         return float(floor + mass - c_star_bar)
 
     grid = build_grid(X, cfg.n_tau)
@@ -320,7 +332,7 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
         return model, trace
 
     labels0 = data.labels - 1
-    cost_rows = costs.entries[labels0]
+    cost_rows = np.ascontiguousarray(costs.entries[labels0].T)
     refine = not costs.equal_off_diagonal()
     for t in range(1, cfg.rounds + 1):
         phase = "risk" if refine and t > WARM_ROUNDS else "exp"
@@ -339,11 +351,11 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
                                                               cfg.tree_depth)
             gamma, phi = edge(scores, c_star_bar, floor, certificate)
         model.rounds.append((learner, vector))
-        h += outputs[:, None] * vector
+        h += vector[:, None] * outputs
         update_weights(weights, outputs, vector, round_index=t)
 
         loss = current_loss()
-        preds = np.argmax(h, axis=1)
+        preds = np.argmax(h, axis=0)
         root = learner.nodes[0]
         trace.rounds.append(RoundRecord(
             index=t, loss=loss, excess=loss - floor, gamma=gamma, phi=phi,

@@ -26,7 +26,7 @@ its down-weight is the headroom below the row's dearest mistake.
   see `CostMatrix.equal_off_diagonal`.
 
 Other consistent choices exist: c_plus = r - B, c_minus = A - r for any
-A >= phi and B <= 0 (the decomposition's beta is one such B).  With B < 0
+A >= phi and B <= 0 (the row's offset sum(r) - (K - 1) phi is one such B).  With B < 0
 even a certain class's score stays finite; B = 0 is the one choice that
 sends it to +inf, and A = phi sends the row's dearest classes to -inf.  In
 every choice the remaining classes keep finite targets where a class is
@@ -89,57 +89,6 @@ class CostMatrix:
         off = ~np.eye(self.k, dtype=bool)
         return bool(np.all(self.entries[off].reshape(self.k, self.k - 1)
                            == self.entries.max(axis=1)[:, None]))
-
-
-@dataclass
-class CostDecomposition:
-    """Additive split of one cost row: row = beta * 1 + sum_k b[k] * (1 - e_k).
-
-    The slack vector b = phi - row is the trainer's down-weight c_minus.
-    """
-
-    beta: float
-    b: np.ndarray
-    phi: float
-
-
-@dataclass
-class SampleCostTerms:
-    """Per-sample weight seeds derived from the sample's cost row."""
-
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-    c_star: float
-    h_star: np.ndarray
-
-
-def decompose_row(row: np.ndarray) -> CostDecomposition:
-    """Split a cost row into uniform offset beta, slack vector b, and row max phi.
-
-    b is nonnegative with a zero at the row's most expensive class, and the
-    row reconstructs exactly as beta + b.sum() - b.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    k = row.shape[0]
-    phi = float(row.max())
-    beta = float(row.sum() - (k - 1) * phi)
-    b = phi - row
-    return CostDecomposition(beta=beta, b=b, phi=phi)
-
-
-def sample_terms(costs: CostMatrix, label: int) -> SampleCostTerms:
-    """Weight seeds (c_plus, c_minus), balance constant c_star, and the optimal score vector.
-
-    c_plus = row, c_minus = phi - row; c_star = 2 <sqrt(c_plus * c_minus), 1>
-    is the infimum of twice this row's loss over score vectors, approached at
-    h_star = (ln c_minus - ln c_plus) / 2: +inf for the true class (and any
-    class that costs nothing to predict), -inf for the row's dearest classes.
-    """
-    c_plus, c_minus, c_star, _ = dataset_terms(costs, np.array([label]))
-    with np.errstate(divide="ignore"):
-        h_star = 0.5 * (np.log(c_minus[0]) - np.log(c_plus[0]))
-    return SampleCostTerms(c_plus=c_plus[0], c_minus=c_minus[0], c_star=float(c_star[0]),
-                           h_star=h_star)
 
 
 def dataset_terms(costs: CostMatrix, labels: np.ndarray):

@@ -1,63 +1,9 @@
-"""Surrogate loss and empirical risk, recomputed from scratch as an independent check.
-
-Everything here rebuilds per-sample scores from the model rather than trusting
-any state cached by the trainer, so tests can cross-check the incremental
-bookkeeping of the boosting loop against a second route through the math.
-"""
+"""The smoothed risk, the trainer's second objective, and the empirical risk of predictions."""
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .costs import CostMatrix, dataset_terms, loss_floor
-
-if TYPE_CHECKING:
-    from .boost import StrongClassifier
-    from .io import Dataset
-
-
-@dataclass
-class LossReport:
-    surrogate: float
-    floor: float
-    excess: float
-    error_rate: float
-    risk: float
-
-
-def coupled_sum(h: np.ndarray, label: int) -> float:
-    """Half the true class's down-weight plus the other classes' up-weights.
-
-    sigma(h; y) = (exp(-h_y) + sum_{k != y} exp(h_k)) / 2.  Convex in h, with
-    infimum 0, and at least 1 whenever any other class scores at or above the
-    true one, which is what makes it a misclassification upper bound.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    y = label - 1
-    if not 0 <= y < h.shape[0]:
-        raise ValueError(f"label {label} out of range for {h.shape[0]} classes")
-    others = np.exp(np.delete(h, y)).sum()
-    return float(0.5 * (np.exp(-h[y]) + others))
-
-
-def surrogate_loss(model: "StrongClassifier", data: "Dataset", costs: CostMatrix) -> LossReport:
-    """Full-dataset surrogate loss, floor, excess, and the hard error/risk rates."""
-    if data.k != costs.k:
-        raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
-    c_plus, c_minus, c_star, _ = dataset_terms(costs, data.labels)
-    floor, _ = loss_floor(costs, data.labels)
-    h = model.scores(data.features)
-    per_sample = (np.sum(c_plus * np.exp(h), axis=1)
-                  + np.sum(c_minus * np.exp(-h), axis=1) - c_star)
-    surrogate = floor + float(np.mean(per_sample)) / 2.0
-    preds = np.argmax(h, axis=1) + 1
-    labels0 = data.labels - 1
-    error_rate = float(np.mean(preds - 1 != labels0))
-    risk = float(np.mean(costs.entries[labels0, preds - 1]))
-    return LossReport(surrogate=surrogate, floor=floor, excess=surrogate - floor,
-                      error_rate=error_rate, risk=risk)
+from .costs import CostMatrix
 
 
 def smoothed_risk(h: np.ndarray, cost_rows: np.ndarray,
@@ -76,13 +22,26 @@ def smoothed_risk(h: np.ndarray, cost_rows: np.ndarray,
     Returns (J, q, expected) with expected[n] = sum_k cost_rows[n, k] q_nk.
     The slope of J in h[n, k] is temperature / N * q[n, k] * (cost_rows[n, k] - expected[n]).
     """
-    # class-major (K, N): each reduction over the classes adds K contiguous rows
-    z = temperature * np.ascontiguousarray(h.T)
-    z -= z.max(axis=0)
+    value, q, expected = class_major_risk(np.ascontiguousarray(h.T),
+                                          np.ascontiguousarray(cost_rows.T), temperature)
+    return value, q.T, expected
+
+
+def class_major_risk(h: np.ndarray, cost_rows: np.ndarray, temperature: float,
+                     out: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """`smoothed_risk` on class-major (K, N) scores and cost rows; q comes back (K, N).
+
+    Each reduction over the classes adds K contiguous rows.  `out`, if
+    given, is the (K, N) buffer that becomes q; it may be h itself.  The
+    line search calls this ten times a round, so it calls the ufuncs
+    directly: the mean is np.mean's own sum divided by the count.
+    """
+    z = np.multiply(h, temperature, out=out)
+    z -= np.maximum.reduce(z, axis=0)
     q = np.exp(z, out=z)
-    q /= q.sum(axis=0)
-    expected = np.sum(np.ascontiguousarray(cost_rows.T) * q, axis=0)
-    return float(np.mean(expected)), q.T, expected
+    q /= np.add.reduce(q, axis=0)
+    expected = np.add.reduce(cost_rows * q, axis=0)
+    return float(np.add.reduce(expected) / expected.shape[0]), q, expected
 
 
 def empirical_risk(predictions: np.ndarray, labels: np.ndarray, costs: CostMatrix) -> float:

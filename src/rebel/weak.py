@@ -5,6 +5,12 @@ a free K-vector fitted in closed form from split scores.  The search over
 (feature, threshold) bins samples into threshold buckets once per feature and
 reads every candidate split off prefix sums, so a full scan costs
 O(d * (N + n_tau) * K) instead of O(d * n_tau * N * K).
+
+The round's weights live in one class-major (2K, N) buffer (`WeightState.w`),
+so each class's weights are one contiguous row.  Every per-class sum over
+samples (histogram buckets, the two sides of a split, a leaf's cuts) is taken
+by `cut_sums`: one `np.bincount` per row, which adds in sample order exactly
+as a reduction over the samples of an (N, K) array does.
 """
 from __future__ import annotations
 
@@ -120,12 +126,47 @@ class ThresholdGrid:
     buckets: list[np.ndarray]
 
 
-@dataclass
 class WeightState:
-    """Per-sample positive/negative class weights, shape (N, K) each."""
+    """Per-sample positive/negative class weights in one class-major buffer.
 
-    w_plus: np.ndarray
-    w_minus: np.ndarray
+    `w` is a C-contiguous (2K, N) array: row k holds class k's positive
+    weights, row K + k its negative weights.  `w_plus` and `w_minus` are
+    (N, K) views of it, so writes through them reach the buffer; the
+    constructor copies its (N, K) arguments in.
+    """
+
+    def __init__(self, w_plus: np.ndarray, w_minus: np.ndarray):
+        n, k = np.shape(w_plus)
+        self.w = np.empty((2 * k, n))
+        self.w_plus = w_plus
+        self.w_minus = w_minus
+
+    @classmethod
+    def class_major(cls, w: np.ndarray) -> "WeightState":
+        """Wrap a C-contiguous (2K, N) buffer without copying it."""
+        state = cls.__new__(cls)
+        state.w = w
+        return state
+
+    @property
+    def k(self) -> int:
+        return self.w.shape[0] // 2
+
+    @property
+    def w_plus(self) -> np.ndarray:
+        return self.w[:self.k].T
+
+    @w_plus.setter
+    def w_plus(self, value: np.ndarray) -> None:
+        self.w[:self.k] = np.asarray(value).T
+
+    @property
+    def w_minus(self) -> np.ndarray:
+        return self.w[self.k:].T
+
+    @w_minus.setter
+    def w_minus(self, value: np.ndarray) -> None:
+        self.w[self.k:] = np.asarray(value).T
 
 
 @dataclass
@@ -167,6 +208,19 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
     return ThresholdGrid(thresholds=out, n_tau=n_tau, buckets=buckets)
 
 
+def cut_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
+    """(C, groups) sums of C contiguous weight rows by a sample -> group index.
+
+    One `np.bincount` per row: each group's sum adds its samples in sample
+    order, as a reduction over axis 0 of an (N, C) array does, so the sums
+    are bit-equal to masking and summing that array.
+    """
+    out = np.empty((rows.shape[0], groups))
+    for c, row in enumerate(rows):
+        out[c] = np.bincount(group, weights=row, minlength=groups)
+    return out
+
+
 def accumulate_split(outputs: np.ndarray, weights: WeightState) -> SplitScores:
     """Split scores of a candidate learner from its +-1 outputs.
 
@@ -174,10 +228,12 @@ def accumulate_split(outputs: np.ndarray, weights: WeightState) -> SplitScores:
     to s_minus; samples sent to -1 contribute the swapped pair.  Normalized
     by 1/(2N).
     """
-    pos = outputs > 0
+    k = weights.k
     n = outputs.shape[0]
-    s_plus = (weights.w_plus[pos].sum(axis=0) + weights.w_minus[~pos].sum(axis=0)) / (2.0 * n)
-    s_minus = (weights.w_minus[pos].sum(axis=0) + weights.w_plus[~pos].sum(axis=0)) / (2.0 * n)
+    # column 0: the -1 side, 1: the +1 side; the index is cast once, not per row
+    sides = cut_sums((outputs > 0).astype(np.intp), weights.w, 2)
+    s_plus = (sides[:k, 1] + sides[k:, 0]) / (2.0 * n)
+    s_minus = (sides[k:, 1] + sides[:k, 0]) / (2.0 * n)
     return SplitScores(s_plus=s_plus, s_minus=s_minus)
 
 
@@ -238,33 +294,26 @@ def stump_search(data: "Dataset", weights: WeightState, grid: ThresholdGrid,
     """
     X = data.features
     n = X.shape[0]
-    wp, wm = weights.w_plus, weights.w_minus
-    tot_p = wp.sum(axis=0)
-    tot_m = wm.sum(axis=0)
+    k = weights.k
     norm = 1.0 / (2.0 * n)
-    mass = (tot_p.sum() + tot_m.sum()) * norm
+    mass = weights.w.sum() * norm  # sets the tie slack only
 
-    k = wp.shape[1]
     rows = []
     lowest = np.inf
     for j, thr in enumerate(grid.thresholds):
         m = thr.shape[0]
-        bucket = grid.buckets[j]
-        bp = np.empty((m + 1, k))
-        bm = np.empty((m + 1, k))
-        for c in range(k):
-            bp[:, c] = np.bincount(bucket, weights=wp[:, c], minlength=m + 1)
-            bm[:, c] = np.bincount(bucket, weights=wm[:, c], minlength=m + 1)
-        below_p = np.cumsum(bp, axis=0)[:m]   # w_plus mass on the -1 side of each cut
-        below_m = np.cumsum(bm, axis=0)[:m]
+        hist = cut_sums(grid.buckets[j], weights.w, m + 1)
+        below = np.cumsum(hist, axis=1)[:, :m]  # mass on the -1 side of each cut
         # suffix sums, not total-minus-prefix: a side with no true mass must
         # score an exact zero or sqrt amplifies the cancellation residue past
         # the tie slack
-        above_p = np.cumsum(bp[::-1], axis=0)[::-1][1:]
-        above_m = np.cumsum(bm[::-1], axis=0)[::-1][1:]
-        s_plus = (above_p + below_m) * norm
-        s_minus = (above_m + below_p) * norm
-        crit = 2.0 * np.sum(np.sqrt(s_plus * s_minus), axis=1)
+        above = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        s_plus = (above[:k] + below[k:]) * norm
+        s_minus = (above[k:] + below[:k]) * norm
+        # the class sum runs over the rows of a C-ordered (m, K) array: the
+        # order of a sum over classes depends on the layout from K = 8 on
+        prod = np.multiply(s_plus.T, s_minus.T, out=np.empty((m, k)))
+        crit = 2.0 * np.sum(np.sqrt(prod, out=prod), axis=1)
         rows.append(crit)
         lowest = min(lowest, float(crit.min()))
 
@@ -296,9 +345,15 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
     X = data.features
     exp_a = np.exp(vector)
     exp_na = np.exp(-vector)
-    # u: cost of sending a sample to +1 under the fixed vector; v: to -1
-    u = weights.w_plus @ exp_a + weights.w_minus @ exp_na
-    v = weights.w_plus @ exp_na + weights.w_minus @ exp_a
+    # u: cost of sending a sample to +1 under the fixed vector; v: to -1.
+    # The products read C-ordered (N, K) copies: on the buffer's views the
+    # matrix-vector kernel sums in another order, and the leaf searches
+    # break ties by plain argmin.
+    by_sample = np.ascontiguousarray(weights.w_plus)
+    u, v = by_sample @ exp_a, by_sample @ exp_na
+    np.copyto(by_sample, weights.w_minus)
+    u += by_sample @ exp_na
+    v += by_sample @ exp_a
 
     _, slots = tree.route(X)
     first_parent = 2 ** (tree.depth - 1) - 1
@@ -329,14 +384,13 @@ def _best_leaf_stump(X: np.ndarray, sel: np.ndarray, u: np.ndarray, v: np.ndarra
     """
     tot_u = u.sum()
     tot_v = v.sum()
+    uv = np.stack((u, v))
     best_obj = np.inf
     best = None
     init_obj = None
     for j, thr in enumerate(grid.thresholds):
         m = thr.shape[0]
-        bucket = grid.buckets[j][sel]
-        below_u = np.cumsum(np.bincount(bucket, weights=u, minlength=m + 1))[:m]
-        below_v = np.cumsum(np.bincount(bucket, weights=v, minlength=m + 1))[:m]
+        below_u, below_v = np.cumsum(cut_sums(grid.buckets[j][sel], uv, m + 1), axis=1)[:, :m]
         obj_plus = (tot_u - below_u) + below_v
         obj_minus = below_u + (tot_v - below_v)
         # candidate order: threshold ascending, +1 polarity before -1

@@ -1,8 +1,16 @@
-"""Slow, direct re-implementations used as oracles against the fast paths."""
+"""Slow, direct re-implementations used as oracles against the fast paths.
+
+The cost-row decomposition, the per-sample cost terms and the surrogate loss
+recomputed from a model's scores live here too: only tests use them, as a
+second route through the math of `rebel.costs` and the boosting loop.
+"""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.weak import SELECTION_SLACK, Stump
 
 
@@ -119,3 +127,99 @@ def round_order_scores(model, features):
     for tree, vector in model.rounds:
         h += tree_outputs(tree, features)[:, None] * vector
     return h
+
+
+# --- cost terms and the surrogate loss ---------------------------------------
+
+
+@dataclass
+class CostDecomposition:
+    """Additive split of one cost row: row = beta * 1 + sum_k b[k] * (1 - e_k).
+
+    The slack vector b = phi - row is the trainer's down-weight c_minus.
+    """
+
+    beta: float
+    b: np.ndarray
+    phi: float
+
+
+@dataclass
+class SampleCostTerms:
+    """Per-sample weight seeds derived from the sample's cost row."""
+
+    c_plus: np.ndarray
+    c_minus: np.ndarray
+    c_star: float
+    h_star: np.ndarray
+
+
+def decompose_row(row: np.ndarray) -> CostDecomposition:
+    """Split a cost row into uniform offset beta, slack vector b, and row max phi.
+
+    b is nonnegative with a zero at the row's most expensive class, and the
+    row reconstructs exactly as beta + b.sum() - b.
+    """
+    row = np.asarray(row, dtype=np.float64)
+    k = row.shape[0]
+    phi = float(row.max())
+    beta = float(row.sum() - (k - 1) * phi)
+    b = phi - row
+    return CostDecomposition(beta=beta, b=b, phi=phi)
+
+
+def sample_terms(costs: CostMatrix, label: int) -> SampleCostTerms:
+    """Weight seeds (c_plus, c_minus), balance constant c_star, and the optimal score vector.
+
+    c_plus = row, c_minus = phi - row; c_star = 2 <sqrt(c_plus * c_minus), 1>
+    is the infimum of twice this row's loss over score vectors, approached at
+    h_star = (ln c_minus - ln c_plus) / 2: +inf for the true class (and any
+    class that costs nothing to predict), -inf for the row's dearest classes.
+    """
+    c_plus, c_minus, c_star, _ = dataset_terms(costs, np.array([label]))
+    with np.errstate(divide="ignore"):
+        h_star = 0.5 * (np.log(c_minus[0]) - np.log(c_plus[0]))
+    return SampleCostTerms(c_plus=c_plus[0], c_minus=c_minus[0], c_star=float(c_star[0]),
+                           h_star=h_star)
+
+
+@dataclass
+class LossReport:
+    surrogate: float
+    floor: float
+    excess: float
+    error_rate: float
+    risk: float
+
+
+def coupled_sum(h: np.ndarray, label: int) -> float:
+    """Half the true class's down-weight plus the other classes' up-weights.
+
+    sigma(h; y) = (exp(-h_y) + sum_{k != y} exp(h_k)) / 2.  Convex in h, with
+    infimum 0, and at least 1 whenever any other class scores at or above the
+    true one, which is what makes it a misclassification upper bound.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    y = label - 1
+    if not 0 <= y < h.shape[0]:
+        raise ValueError(f"label {label} out of range for {h.shape[0]} classes")
+    others = np.exp(np.delete(h, y)).sum()
+    return float(0.5 * (np.exp(-h[y]) + others))
+
+
+def surrogate_loss(model, data, costs: CostMatrix) -> LossReport:
+    """Full-dataset surrogate loss, floor, excess, and the hard error/risk rates."""
+    if data.k != costs.k:
+        raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
+    c_plus, c_minus, c_star, _ = dataset_terms(costs, data.labels)
+    floor, _ = loss_floor(costs, data.labels)
+    h = model.scores(data.features)
+    per_sample = (np.sum(c_plus * np.exp(h), axis=1)
+                  + np.sum(c_minus * np.exp(-h), axis=1) - c_star)
+    surrogate = floor + float(np.mean(per_sample)) / 2.0
+    preds = np.argmax(h, axis=1) + 1
+    labels0 = data.labels - 1
+    error_rate = float(np.mean(preds - 1 != labels0))
+    risk = float(np.mean(costs.entries[labels0, preds - 1]))
+    return LossReport(surrogate=surrogate, floor=floor, excess=surrogate - floor,
+                      error_rate=error_rate, risk=risk)

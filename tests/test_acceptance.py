@@ -12,13 +12,12 @@ import pytest
 from conftest import random_costs, random_problem, random_model, xor_dataset
 from rebel.baselines import run_reduction_trial
 from rebel.boost import TrainConfig, train, update_weights
-from rebel.costs import CostMatrix, dataset_terms, decompose_row, sample_terms
+from rebel.costs import CostMatrix, dataset_terms
 from rebel.io import Dataset, model_from_text, model_to_text
-from rebel.loss import coupled_sum
 from rebel.synth import run_comparison, win_fraction
 from rebel.weak import (Tree, WeightState, accumulate_split, build_grid,
                         grow_layer, split_value, stump_search)
-from reference_impl import naive_stump_search
+from reference_impl import coupled_sum, decompose_row, naive_stump_search, sample_terms
 
 TOL = 1e-9
 

