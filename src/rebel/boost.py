@@ -171,7 +171,8 @@ def update_weights(weights: WeightState, outputs: np.ndarray, vector: np.ndarray
     """Multiply in the round's contribution: w+ *= exp(f a), w- *= exp(-f a), in place."""
     k = weights.k
     with np.errstate(over="ignore"):
-        shift = np.exp(vector[:, None] * outputs)
+        shift = vector[:, None] * outputs
+        np.exp(shift, out=shift)
         weights.w[:k] *= shift
         weights.w[k:] /= shift
     peak = weights.w.max()
@@ -332,7 +333,7 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
         return model, trace
 
     labels0 = data.labels - 1
-    cost_rows = np.ascontiguousarray(costs.entries[labels0].T)
+    cost_rows = costs.entries.T.take(labels0, axis=1)  # class-major (K, N)
     refine = not costs.equal_off_diagonal()
     for t in range(1, cfg.rounds + 1):
         phase = "risk" if refine and t > WARM_ROUNDS else "exp"

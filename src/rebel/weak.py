@@ -343,18 +343,7 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
     grown tree with its vector, criterion, outputs and split scores.
     """
     X = data.features
-    exp_a = np.exp(vector)
-    exp_na = np.exp(-vector)
-    # u: cost of sending a sample to +1 under the fixed vector; v: to -1.
-    # The products read C-ordered (N, K) copies: on the buffer's views the
-    # matrix-vector kernel sums in another order, and the leaf searches
-    # break ties by plain argmin.
-    by_sample = np.ascontiguousarray(weights.w_plus)
-    u, v = by_sample @ exp_a, by_sample @ exp_na
-    np.copyto(by_sample, weights.w_minus)
-    u += by_sample @ exp_na
-    v += by_sample @ exp_a
-
+    u, v = _side_costs(weights, vector)
     _, slots = tree.route(X)
     first_parent = 2 ** (tree.depth - 1) - 1
     new_nodes = []
@@ -363,7 +352,7 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
         sel = slots == slot
         stump = parent
         if np.any(sel):
-            stump = _best_leaf_stump(X[sel], sel, u[sel], v[sel], grid, parent)
+            stump = _best_leaf_stump(X, sel, u[sel], v[sel], grid, parent)
         new_nodes.append(stump)
 
     grown = Tree(depth=tree.depth + 1, nodes=list(tree.nodes) + new_nodes)
@@ -375,12 +364,29 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
     return LearnerFit(grown, refit, criterion, outputs, scores)
 
 
+def _side_costs(weights: WeightState, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the cost u of sending it to +1 under a fixed vector, and v of sending it to -1.
+
+    The products read a C-ordered (N, K) copy: on the buffer's views the
+    matrix-vector kernel sums in another order, and the leaf searches break
+    ties by plain argmin.
+    """
+    exp_a = np.exp(vector)
+    exp_na = np.exp(-vector)
+    by_sample = np.ascontiguousarray(weights.w_plus)
+    u, v = by_sample @ exp_a, by_sample @ exp_na
+    np.copyto(by_sample, weights.w_minus)
+    u += by_sample @ exp_na
+    v += by_sample @ exp_a
+    return u, v
+
+
 def _best_leaf_stump(X: np.ndarray, sel: np.ndarray, u: np.ndarray, v: np.ndarray,
                      grid: ThresholdGrid, init: Stump) -> Stump:
     """Minimize sum(u on the +1 side) + sum(v on the -1 side) over (j, tau, rho).
 
-    X, u and v hold the leaf's samples; `sel` picks them out of the grid's
-    buckets.
+    u and v hold the leaf's samples; `sel` picks them out of X and the
+    grid's buckets.
     """
     tot_u = u.sum()
     tot_v = v.sum()
@@ -407,7 +413,7 @@ def _best_leaf_stump(X: np.ndarray, sel: np.ndarray, u: np.ndarray, v: np.ndarra
                 init_obj = float(obj_plus[pos] if init.polarity > 0 else obj_minus[pos])
     if init_obj is None:
         # inherited cut is off this grid; score it directly
-        g = init.evaluate(X)
+        g = init.evaluate(X[sel])
         init_obj = float(u[g > 0].sum() + v[g < 0].sum())
     if best is None or best_obj >= init_obj:
         return init
