@@ -209,7 +209,7 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
 
 
 def cut_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
-    """(C, groups) sums of C contiguous weight rows by a sample -> group index.
+    """(C, groups) sums of C weight rows, each contiguous, by a sample -> group index.
 
     One `np.bincount` per row: each group's sum adds its samples in sample
     order, as a reduction over axis 0 of an (N, C) array does, so the sums
