@@ -24,8 +24,8 @@ import numpy as np
 
 from .costs import CostMatrix, dataset_terms, loss_floor
 from .loss import class_major_risk
-from .weak import (LearnerFit, SplitScores, ThresholdGrid, Tree, WeightState, accumulate_split,
-                   build_grid, grow_layer, optimal_vector, stump_search)
+from .weak import (LearnerFit, SplitScores, ThresholdGrid, Tree, accumulate_split, build_grid,
+                   class_major, grow_layer, optimal_vector, stump_search)
 
 if TYPE_CHECKING:
     from .io import Dataset
@@ -150,32 +150,32 @@ class TrainTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
 
 
-def init_weights(costs: CostMatrix, data: "Dataset") -> WeightState:
-    """Weights at the zero model: the raw (c_plus, c_minus) pairs per sample."""
+def init_weights(costs: CostMatrix, data: "Dataset") -> np.ndarray:
+    """Class-major (2K, N) weights at the zero model: the raw (c_plus, c_minus) pairs."""
     c_plus, c_minus, _, _ = dataset_terms(costs, data.labels)
-    return WeightState(w_plus=c_plus, w_minus=c_minus)
+    return class_major(c_plus, c_minus)
 
 
-def fit_constant(weights: WeightState, epsilon: float) -> np.ndarray:
+def fit_constant(weights: np.ndarray, epsilon: float) -> np.ndarray:
     """Closed-form constant score offset (the a0 term); updates weights in place."""
-    k = weights.k
-    ones = np.ones(weights.w.shape[1], dtype=np.int64)
+    k = weights.shape[0] // 2
+    ones = np.ones(weights.shape[1], dtype=np.int64)
     a0, _ = optimal_vector(accumulate_split(ones, weights), epsilon)
-    weights.w[:k] *= np.exp(a0)[:, None]
-    weights.w[k:] *= np.exp(-a0)[:, None]
+    weights[:k] *= np.exp(a0)[:, None]
+    weights[k:] *= np.exp(-a0)[:, None]
     return a0
 
 
-def update_weights(weights: WeightState, outputs: np.ndarray, vector: np.ndarray,
-                   round_index: int | None = None) -> WeightState:
+def update_weights(weights: np.ndarray, outputs: np.ndarray, vector: np.ndarray,
+                   round_index: int | None = None) -> np.ndarray:
     """Multiply in the round's contribution: w+ *= exp(f a), w- *= exp(-f a), in place."""
-    k = weights.k
+    k = weights.shape[0] // 2
     with np.errstate(over="ignore"):
         shift = vector[:, None] * outputs
         np.exp(shift, out=shift)
-        weights.w[:k] *= shift
-        weights.w[k:] /= shift
-    peak = weights.w.max()
+        weights[:k] *= shift
+        weights[k:] /= shift
+    peak = weights.max()
     if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
         raise NumericOverflowError(round_index)
     return weights
@@ -206,7 +206,7 @@ def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
             f"epsilon={epsilon!r} a0={int(cfg.fit_a0)} seed={cfg.seed}")
 
 
-def fit_learner(data: "Dataset", weights: WeightState, grid: ThresholdGrid, epsilon: float,
+def fit_learner(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid, epsilon: float,
                 depth: int) -> LearnerFit:
     """The round's learner for these weights: root stump search, then layer growth to `depth`.
 
@@ -245,8 +245,7 @@ def risk_round(data: "Dataset", h: np.ndarray, cost_rows: np.ndarray, grid: Thre
     pull = np.empty((2 * k, h.shape[1]))
     np.maximum(-slope, 0.0, out=pull[:k])
     np.maximum(slope, 0.0, out=pull[k:])
-    learner, direction, _, outputs, _ = fit_learner(data, WeightState.class_major(pull), grid,
-                                                    epsilon, depth)
+    learner, direction, _, outputs, _ = fit_learner(data, pull, grid, epsilon, depth)
     reach = float(np.max(np.abs(direction)))
     if reach == 0.0:
         return learner, outputs, direction, before
@@ -318,8 +317,8 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
     def current_loss() -> float:
         # whole-array sums of C-ordered (N, K) copies: summed in the buffer's
         # class-major order, the mass would differ in the last bits
-        mass = (np.ascontiguousarray(weights.w_plus).sum()
-                + np.ascontiguousarray(weights.w_minus).sum()) / (2.0 * n)
+        mass = (np.ascontiguousarray(weights[:costs.k].T).sum()
+                + np.ascontiguousarray(weights[costs.k:].T).sum()) / (2.0 * n)
         return float(floor + mass - c_star_bar)
 
     grid = build_grid(X, cfg.n_tau)

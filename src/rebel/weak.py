@@ -4,13 +4,16 @@ A weak learner outputs +-1; its per-class contribution to the strong model is
 a free K-vector fitted in closed form from split scores.  The search over
 (feature, threshold) bins samples into threshold buckets once per feature and
 reads every candidate split off prefix sums, so a full scan costs
-O(d * (N + n_tau) * K) instead of O(d * n_tau * N * K).
+O(d * (N + n_tau) * K) instead of O(d * n_tau * N * K).  Growing a tree
+layer searches all of its leaves at once: one histogram per feature over the
+index `slot * (m + 1) + bin`.
 
-The round's weights live in one class-major (2K, N) buffer (`WeightState.w`),
-so each class's weights are one contiguous row.  Every per-class sum over
-samples (histogram buckets, the two sides of a split, a leaf's cuts) is taken
-by `cut_sums`: one `np.bincount` per row, which adds in sample order exactly
-as a reduction over the samples of an (N, K) array does.
+The round's weights are one C-contiguous class-major (2K, N) array (see
+`class_major`): row k holds class k's positive weights, row K + k its
+negative weights, so each is one contiguous row.  Every per-class sum over
+samples (histogram buckets, the two sides of a split, a layer's cuts) is
+taken by `cut_sums`: one `np.bincount` per row, which adds in sample order
+exactly as a reduction over the samples of an (N, K) array does.
 """
 from __future__ import annotations
 
@@ -66,16 +69,12 @@ class Tree:
     def from_stump(cls, stump: Stump) -> "Tree":
         return cls(depth=1, nodes=[stump])
 
-    def _node_arrays(self):
-        feat = np.array([s.feature for s in self.nodes], dtype=np.int64)
-        thr = np.array([s.threshold for s in self.nodes], dtype=np.float64)
-        pol = np.array([s.polarity for s in self.nodes], dtype=np.int64)
-        return feat, thr, pol
-
     def route(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate and also report which leaf slot (0..2^D - 1) each sample reaches."""
         n = features.shape[0]
-        feat, thr, pol = self._node_arrays()
+        feat = np.array([s.feature for s in self.nodes], dtype=np.int64)
+        thr = np.array([s.threshold for s in self.nodes], dtype=np.float64)
+        pol = np.array([s.polarity for s in self.nodes], dtype=np.int64)
         node = np.zeros(n, dtype=np.int64)
         out = np.empty(n, dtype=np.int64)
         rows = np.arange(n)
@@ -126,49 +125,6 @@ class ThresholdGrid:
     buckets: list[np.ndarray]
 
 
-class WeightState:
-    """Per-sample positive/negative class weights in one class-major buffer.
-
-    `w` is a C-contiguous (2K, N) array: row k holds class k's positive
-    weights, row K + k its negative weights.  `w_plus` and `w_minus` are
-    (N, K) views of it, so writes through them reach the buffer; the
-    constructor copies its (N, K) arguments in.
-    """
-
-    def __init__(self, w_plus: np.ndarray, w_minus: np.ndarray):
-        n, k = np.shape(w_plus)
-        self.w = np.empty((2 * k, n))
-        self.w_plus = w_plus
-        self.w_minus = w_minus
-
-    @classmethod
-    def class_major(cls, w: np.ndarray) -> "WeightState":
-        """Wrap a C-contiguous (2K, N) buffer without copying it."""
-        state = cls.__new__(cls)
-        state.w = w
-        return state
-
-    @property
-    def k(self) -> int:
-        return self.w.shape[0] // 2
-
-    @property
-    def w_plus(self) -> np.ndarray:
-        return self.w[:self.k].T
-
-    @w_plus.setter
-    def w_plus(self, value: np.ndarray) -> None:
-        self.w[:self.k] = np.asarray(value).T
-
-    @property
-    def w_minus(self) -> np.ndarray:
-        return self.w[self.k:].T
-
-    @w_minus.setter
-    def w_minus(self, value: np.ndarray) -> None:
-        self.w[self.k:] = np.asarray(value).T
-
-
 @dataclass
 class SplitScores:
     """Aggregated class weights on the agree/disagree sides of a candidate learner."""
@@ -208,6 +164,13 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
     return ThresholdGrid(thresholds=out, n_tau=n_tau, buckets=buckets)
 
 
+def class_major(w_plus: np.ndarray, w_minus: np.ndarray) -> np.ndarray:
+    """The C-contiguous (2K, N) weight array of (N, K) positive and negative weights."""
+    n, k = np.shape(w_plus)
+    # into a C-ordered buffer: of transposed inputs, concatenate makes an F-ordered one
+    return np.concatenate((w_plus.T, w_minus.T), out=np.empty((2 * k, n)))
+
+
 def cut_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
     """(C, groups) sums of C weight rows, each contiguous, by a sample -> group index.
 
@@ -221,17 +184,17 @@ def cut_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
     return out
 
 
-def accumulate_split(outputs: np.ndarray, weights: WeightState) -> SplitScores:
+def accumulate_split(outputs: np.ndarray, weights: np.ndarray) -> SplitScores:
     """Split scores of a candidate learner from its +-1 outputs.
 
     Samples the learner sends to +1 contribute w_plus to s_plus and w_minus
     to s_minus; samples sent to -1 contribute the swapped pair.  Normalized
     by 1/(2N).
     """
-    k = weights.k
+    k = weights.shape[0] // 2
     n = outputs.shape[0]
     # column 0: the -1 side, 1: the +1 side; the index is cast once, not per row
-    sides = cut_sums((outputs > 0).astype(np.intp), weights.w, 2)
+    sides = cut_sums((outputs > 0).astype(np.intp), weights, 2)
     s_plus = (sides[:k, 1] + sides[k:, 0]) / (2.0 * n)
     s_minus = (sides[k:, 1] + sides[:k, 0]) / (2.0 * n)
     return SplitScores(s_plus=s_plus, s_minus=s_minus)
@@ -281,7 +244,7 @@ def first_within_slack(values: np.ndarray, limit: float) -> int:
     return int(np.nonzero(values <= limit)[0][0])
 
 
-def stump_search(data: "Dataset", weights: WeightState, grid: ThresholdGrid,
+def stump_search(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid,
                  epsilon: float) -> LearnerFit:
     """Best root stump over the full grid with polarity fixed to +1.
 
@@ -292,17 +255,16 @@ def stump_search(data: "Dataset", weights: WeightState, grid: ThresholdGrid,
     stump with its smoothed vector, unsmoothed criterion, outputs and split
     scores.
     """
-    X = data.features
-    n = X.shape[0]
-    k = weights.k
+    n = data.features.shape[0]
+    k = weights.shape[0] // 2
     norm = 1.0 / (2.0 * n)
-    mass = weights.w.sum() * norm  # sets the tie slack only
+    mass = weights.sum() * norm  # sets the tie slack only
 
     rows = []
     lowest = np.inf
     for j, thr in enumerate(grid.thresholds):
         m = thr.shape[0]
-        hist = cut_sums(grid.buckets[j], weights.w, m + 1)
+        hist = cut_sums(grid.buckets[j], weights, m + 1)
         below = np.cumsum(hist, axis=1)[:, :m]  # mass on the -1 side of each cut
         # suffix sums, not total-minus-prefix: a side with no true mass must
         # score an exact zero or sqrt amplifies the cancellation residue past
@@ -324,36 +286,78 @@ def stump_search(data: "Dataset", weights: WeightState, grid: ThresholdGrid,
             break
 
     stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=1)
-    outputs = stump.evaluate(X)
+    outputs = np.where(grid.buckets[j] > i, 1, -1)  # x > tau_i exactly when bin > i
     scores = accumulate_split(outputs, weights)
     vector, criterion = optimal_vector(scores, epsilon)
     return LearnerFit(stump, vector, criterion, outputs, scores)
 
 
-def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightState,
+def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: np.ndarray,
                grid: ThresholdGrid, epsilon: float) -> LearnerFit:
     """Deepen a tree by one level without ever increasing the training loss.
 
     Each leaf slot gets a stump initialized to its parent's parameters (a
     functional no-op), then is re-optimized over the full grid in both
-    polarities while the output vector stays fixed; a leaf keeps its
-    initialization unless some candidate strictly improves its routed
-    objective.  Finally the vector is refitted to the deeper tree, keeping
-    the old vector if smoothing would make the refit worse.  Returns the
-    grown tree with its vector, criterion, outputs and split scores.
+    polarities while the output vector stays fixed: it minimizes the cost u
+    of its samples sent to +1 plus the cost v of those sent to -1.  A leaf
+    keeps its initialization unless some candidate strictly improves that
+    objective; within a feature the first minimum in (threshold, +1 before
+    -1) order wins, across features the lowest feature.  All leaves are
+    searched in one pass per feature, over the histogram index
+    `slot * (m + 1) + bin`.  Finally the vector is refitted to the deeper
+    tree, keeping the old vector if smoothing would make the refit worse.
+    Returns the grown tree with its vector, criterion, outputs and split
+    scores.
     """
     X = data.features
     u, v = _side_costs(weights, vector)
     _, slots = tree.route(X)
-    first_parent = 2 ** (tree.depth - 1) - 1
-    new_nodes = []
-    for slot in range(2 ** tree.depth):
-        parent = tree.nodes[first_parent + slot // 2]
-        sel = slots == slot
-        stump = parent
-        if np.any(sel):
-            stump = _best_leaf_stump(X, sel, u[sel], v[sel], grid, parent)
-        new_nodes.append(stump)
+    n_slots = 2 ** tree.depth
+    parents = tree.nodes[2 ** (tree.depth - 1) - 1:]
+    leaf = np.arange(n_slots)
+    # per slot, its own samples summed pairwise; a bincount would add them in
+    # another order
+    tot_u, tot_v = np.array([(u[slots == s].sum(), v[slots == s].sum()) for s in leaf]).T
+    # the parent's cut: every sample of slot s took the parent's side s % 2,
+    # so off the grid it costs the slot's whole u (odd) or v (even); on the
+    # grid, its entry in the paired objectives below
+    init_obj = np.where(leaf % 2 == 1, tot_u, tot_v)
+    init_at = []  # (slot, feature, column in `paired`) of each cut on the grid
+    for s in leaf:
+        init = parents[s // 2]
+        thr = grid.thresholds[init.feature]
+        pos = int(np.searchsorted(thr, init.threshold))
+        if pos < thr.shape[0] and thr[pos] == init.threshold:
+            init_at.append((s, init.feature, 2 * pos + (init.polarity < 0)))
+
+    uv = np.stack((u, v))
+    best_obj = np.full(n_slots, np.inf)
+    best_j = np.zeros(n_slots, dtype=np.intp)
+    best_i = np.zeros(n_slots, dtype=np.intp)
+    for j, thr in enumerate(grid.thresholds):
+        m = thr.shape[0]
+        hist = cut_sums(slots * (m + 1) + grid.buckets[j], uv, n_slots * (m + 1))
+        below_u, below_v = np.cumsum(hist.reshape(2, n_slots, m + 1), axis=2)[:, :, :m]
+        # candidate order: threshold ascending, +1 polarity before -1
+        paired = np.empty((n_slots, 2 * m))
+        paired[:, 0::2] = (tot_u[:, None] - below_u) + below_v
+        paired[:, 1::2] = below_u + (tot_v[:, None] - below_v)
+        i = np.argmin(paired, axis=1)
+        obj = paired[leaf, i]
+        better = obj < best_obj
+        best_obj[better] = obj[better]
+        best_j[better] = j
+        best_i[better] = i[better]
+        for s, feature, col in init_at:
+            if feature == j:
+                init_obj[s] = paired[s, col]
+
+    # a slot that found no candidate (every objective nan) keeps its parent
+    improved = (best_obj < np.inf) & ~(best_obj >= init_obj)
+    new_nodes = [Stump(feature=int(best_j[s]),
+                       threshold=float(grid.thresholds[best_j[s]][best_i[s] // 2]),
+                       polarity=1 - 2 * int(best_i[s] % 2))
+                 if improved[s] else parents[s // 2] for s in leaf]
 
     grown = Tree(depth=tree.depth + 1, nodes=list(tree.nodes) + new_nodes)
     outputs = grown.evaluate(X)
@@ -364,57 +368,19 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: WeightS
     return LearnerFit(grown, refit, criterion, outputs, scores)
 
 
-def _side_costs(weights: WeightState, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _side_costs(weights: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, the cost u of sending it to +1 under a fixed vector, and v of sending it to -1.
 
-    The products read a C-ordered (N, K) copy: on the buffer's views the
-    matrix-vector kernel sums in another order, and the leaf searches break
-    ties by plain argmin.
+    The products read a C-ordered (N, K) copy: on the array's transposed
+    views the matrix-vector kernel sums in another order, and the leaf
+    search breaks ties by plain argmin.
     """
+    k = weights.shape[0] // 2
     exp_a = np.exp(vector)
     exp_na = np.exp(-vector)
-    by_sample = np.ascontiguousarray(weights.w_plus)
+    by_sample = np.ascontiguousarray(weights[:k].T)
     u, v = by_sample @ exp_a, by_sample @ exp_na
-    np.copyto(by_sample, weights.w_minus)
+    np.copyto(by_sample, weights[k:].T)
     u += by_sample @ exp_na
     v += by_sample @ exp_a
     return u, v
-
-
-def _best_leaf_stump(X: np.ndarray, sel: np.ndarray, u: np.ndarray, v: np.ndarray,
-                     grid: ThresholdGrid, init: Stump) -> Stump:
-    """Minimize sum(u on the +1 side) + sum(v on the -1 side) over (j, tau, rho).
-
-    u and v hold the leaf's samples; `sel` picks them out of X and the
-    grid's buckets.
-    """
-    tot_u = u.sum()
-    tot_v = v.sum()
-    uv = np.stack((u, v))
-    best_obj = np.inf
-    best = None
-    init_obj = None
-    for j, thr in enumerate(grid.thresholds):
-        m = thr.shape[0]
-        below_u, below_v = np.cumsum(cut_sums(grid.buckets[j][sel], uv, m + 1), axis=1)[:, :m]
-        obj_plus = (tot_u - below_u) + below_v
-        obj_minus = below_u + (tot_v - below_v)
-        # candidate order: threshold ascending, +1 polarity before -1
-        paired = np.empty(2 * m)
-        paired[0::2] = obj_plus
-        paired[1::2] = obj_minus
-        i = int(np.argmin(paired))
-        if paired[i] < best_obj:
-            best_obj = float(paired[i])
-            best = Stump(feature=j, threshold=float(thr[i // 2]), polarity=1 - 2 * (i % 2))
-        if j == init.feature:
-            pos = int(np.searchsorted(thr, init.threshold))
-            if pos < m and thr[pos] == init.threshold:
-                init_obj = float(obj_plus[pos] if init.polarity > 0 else obj_minus[pos])
-    if init_obj is None:
-        # inherited cut is off this grid; score it directly
-        g = init.evaluate(X[sel])
-        init_obj = float(u[g > 0].sum() + v[g < 0].sum())
-    if best is None or best_obj >= init_obj:
-        return init
-    return best

@@ -14,6 +14,12 @@ def random_costs(k: int, rng) -> CostMatrix:
     return CostMatrix.from_array(arr)
 
 
+def halves(weights):
+    """The (N, K) positive and negative weights of a class-major (2K, N) array, as views."""
+    k = weights.shape[0] // 2
+    return weights[:k].T, weights[k:].T
+
+
 def random_problem(seed: int, n: int = 120, d: int = 3, k: int = 3):
     """A labeled Gaussian-blob dataset and a random positive cost matrix."""
     rng = np.random.default_rng(seed)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
-from rebel.weak import SELECTION_SLACK, Stump
+from rebel.weak import (SELECTION_SLACK, LearnerFit, Stump, Tree, _side_costs, accumulate_split,
+                        cut_sums, optimal_vector, split_value)
 
 
 def naive_split_scores(outputs, w_plus, w_minus):
@@ -45,6 +46,69 @@ def naive_stump_search(X, w_plus, w_minus, grid):
         if crit <= limit:
             return Stump(feature=j, threshold=tau, polarity=1), crit
     raise AssertionError("unreachable")
+
+
+def per_slot_grow_layer(tree, vector, data, weights, grid, epsilon):
+    """`rebel.weak.grow_layer` searching one leaf slot at a time, each on
+    copies of its own samples' bins and side costs."""
+    X = data.features
+    u, v = _side_costs(weights, vector)
+    _, slots = tree.route(X)
+    first_parent = 2 ** (tree.depth - 1) - 1
+    new_nodes = []
+    for slot in range(2 ** tree.depth):
+        parent = tree.nodes[first_parent + slot // 2]
+        sel = slots == slot
+        stump = parent
+        if np.any(sel):
+            stump = _best_leaf_stump(X, sel, u[sel], v[sel], grid, parent)
+        new_nodes.append(stump)
+
+    grown = Tree(depth=tree.depth + 1, nodes=list(tree.nodes) + new_nodes)
+    outputs = grown.evaluate(X)
+    scores = accumulate_split(outputs, weights)
+    refit, criterion = optimal_vector(scores, epsilon)
+    if split_value(scores, refit) > split_value(scores, vector):
+        refit = vector
+    return LearnerFit(grown, refit, criterion, outputs, scores)
+
+
+def _best_leaf_stump(X, sel, u, v, grid, init):
+    """Minimize sum(u on the +1 side) + sum(v on the -1 side) over (j, tau, rho).
+
+    u and v hold the leaf's samples; `sel` picks them out of X and the
+    grid's buckets.
+    """
+    tot_u = u.sum()
+    tot_v = v.sum()
+    uv = np.stack((u, v))
+    best_obj = np.inf
+    best = None
+    init_obj = None
+    for j, thr in enumerate(grid.thresholds):
+        m = thr.shape[0]
+        below_u, below_v = np.cumsum(cut_sums(grid.buckets[j][sel], uv, m + 1), axis=1)[:, :m]
+        obj_plus = (tot_u - below_u) + below_v
+        obj_minus = below_u + (tot_v - below_v)
+        # candidate order: threshold ascending, +1 polarity before -1
+        paired = np.empty(2 * m)
+        paired[0::2] = obj_plus
+        paired[1::2] = obj_minus
+        i = int(np.argmin(paired))
+        if paired[i] < best_obj:
+            best_obj = float(paired[i])
+            best = Stump(feature=j, threshold=float(thr[i // 2]), polarity=1 - 2 * (i % 2))
+        if j == init.feature:
+            pos = int(np.searchsorted(thr, init.threshold))
+            if pos < m and thr[pos] == init.threshold:
+                init_obj = float(obj_plus[pos] if init.polarity > 0 else obj_minus[pos])
+    if init_obj is None:
+        # inherited cut is off this grid; score it directly
+        g = init.evaluate(X[sel])
+        init_obj = float(u[g > 0].sum() + v[g < 0].sum())
+    if best is None or best_obj >= init_obj:
+        return init
+    return best
 
 
 def _cell_rows(path):

@@ -15,7 +15,7 @@ from rebel.boost import TrainConfig, train, update_weights
 from rebel.costs import CostMatrix, dataset_terms
 from rebel.io import Dataset, model_from_text, model_to_text
 from rebel.synth import run_comparison, win_fraction
-from rebel.weak import (Tree, WeightState, accumulate_split, build_grid,
+from rebel.weak import (Tree, accumulate_split, build_grid, class_major,
                         grow_layer, split_value, stump_search)
 from reference_impl import coupled_sum, decompose_row, naive_stump_search, sample_terms
 
@@ -154,7 +154,7 @@ def test_criterion_5_tree_growth(capsys):
         n = int(np.random.default_rng(trial).integers(30, 120))
         data, costs = random_problem(5000 + trial, n=n, d=3, k=3 + trial % 3)
         c_plus, c_minus, _, _ = dataset_terms(costs, data.labels)
-        weights = WeightState(w_plus=c_plus.copy(), w_minus=c_minus.copy())
+        weights = class_major(c_plus, c_minus)
         eps = 1.0 / (2 * n * costs.k)
         grid = build_grid(data.features, 64)
         stump, vector, *_ = stump_search(data, weights, grid, eps)
@@ -198,14 +198,14 @@ def test_criterion_6_search_exactness(capsys):
         n_tau = int(rng.integers(10, 2000 // d + 1))
         grid = build_grid(data.features, n_tau)
         c_plus, c_minus, _, _ = dataset_terms(costs, data.labels)
-        weights = WeightState(w_plus=c_plus.copy(), w_minus=c_minus.copy())
+        weights = class_major(c_plus, c_minus)
         eps = 1.0 / (2 * n * k)
         for _ in range(int(rng.integers(0, 3))):
             stump, vector, *_ = stump_search(data, weights, grid, eps)
             update_weights(weights, Tree.from_stump(stump).evaluate(data.features), vector)
         stump, _, crit, *_ = stump_search(data, weights, grid, eps)
         ref_stump, ref_crit = naive_stump_search(
-            data.features, weights.w_plus, weights.w_minus, grid)
+            data.features, weights[:k].T, weights[k:].T, grid)
         if (stump.feature, stump.threshold) != (ref_stump.feature, ref_stump.threshold):
             argmin_mismatches += 1
         worst_value_gap = max(worst_value_gap, abs(crit - ref_crit))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_costs, random_problem
+from conftest import halves, random_costs, random_problem
 from reference_impl import round_order_scores, surrogate_loss
 from rebel import boost
 from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
@@ -14,7 +14,7 @@ from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.io import Dataset, model_from_text, model_to_text
 from rebel.loss import smoothed_risk
-from rebel.weak import (SELECT_MAX_DEPTH, Stump, Tree, WeightState, accumulate_split,
+from rebel.weak import (SELECT_MAX_DEPTH, Stump, Tree, accumulate_split, class_major,
                         split_value)
 
 
@@ -35,27 +35,27 @@ class TestWeights:
         data, costs = random_problem(1, n=20, d=2, k=3)
         w = init_weights(costs, data)
         cp, cm, _, _ = dataset_terms(costs, data.labels)
-        np.testing.assert_array_equal(w.w_plus, cp)
-        np.testing.assert_array_equal(w.w_minus, cm)
-        w.w_plus += 1.0
-        np.testing.assert_array_equal(init_weights(costs, data).w_plus, cp)
+        assert w.shape == (6, 20) and w.flags.c_contiguous
+        np.testing.assert_array_equal(halves(w)[0], cp)
+        np.testing.assert_array_equal(halves(w)[1], cm)
+        w += 1.0
+        np.testing.assert_array_equal(halves(init_weights(costs, data))[0], cp)
 
     def test_update_worked_example(self):
-        w = WeightState(w_plus=np.array([[1.0, 1.0]]), w_minus=np.array([[1.0, 1.0]]))
+        w = class_major(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]]))
         update_weights(w, np.array([1]), np.array([np.log(2.0), -np.log(2.0)]))
-        np.testing.assert_allclose(w.w_plus, [[2.0, 0.5]], rtol=1e-15)
-        np.testing.assert_allclose(w.w_minus, [[0.5, 2.0]], rtol=1e-15)
+        np.testing.assert_allclose(halves(w)[0], [[2.0, 0.5]], rtol=1e-15)
+        np.testing.assert_allclose(halves(w)[1], [[0.5, 2.0]], rtol=1e-15)
 
     def test_update_preserves_geometric_mean(self, rng):
         """sqrt(w+ w-) is invariant: the shift cancels."""
-        w = WeightState(w_plus=rng.uniform(0.5, 2.0, size=(10, 3)),
-                        w_minus=rng.uniform(0.5, 2.0, size=(10, 3)))
-        before = np.sqrt(w.w_plus * w.w_minus)
+        w = class_major(rng.uniform(0.5, 2.0, size=(10, 3)), rng.uniform(0.5, 2.0, size=(10, 3)))
+        before = np.sqrt(w[:3] * w[3:])
         update_weights(w, rng.choice([-1, 1], size=10), rng.normal(size=3))
-        np.testing.assert_allclose(np.sqrt(w.w_plus * w.w_minus), before, rtol=1e-12)
+        np.testing.assert_allclose(np.sqrt(w[:3] * w[3:]), before, rtol=1e-12)
 
     def test_overflow_raises_with_round(self):
-        w = WeightState(w_plus=np.ones((2, 2)), w_minus=np.ones((2, 2)))
+        w = class_major(np.ones((2, 2)), np.ones((2, 2)))
         with pytest.raises(NumericOverflowError) as info:
             update_weights(w, np.array([1, -1]), np.array([710.0, 0.0]), round_index=7)
         assert info.value.round_index == 7

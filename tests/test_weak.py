@@ -5,18 +5,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_costs, random_problem
+from conftest import halves, random_costs, random_problem
 from rebel.boost import init_weights, update_weights
 from rebel.io import Dataset
-from rebel.weak import (SplitScores, Stump, Tree, WeightState, accumulate_split,
-                        build_grid, cut_sums, grow_layer, optimal_vector, split_value,
+from rebel.weak import (SplitScores, Stump, Tree, accumulate_split, build_grid,
+                        class_major, cut_sums, grow_layer, optimal_vector, split_value,
                         stump_search)
-from reference_impl import naive_split_scores, naive_stump_search, tree_outputs
+from reference_impl import (naive_split_scores, naive_stump_search, per_slot_grow_layer,
+                            tree_outputs)
 
 
 def random_weights(rng, n, k):
-    return WeightState(w_plus=rng.uniform(0.1, 2.0, size=(n, k)),
-                       w_minus=rng.uniform(0.1, 2.0, size=(n, k)))
+    return class_major(rng.uniform(0.1, 2.0, size=(n, k)), rng.uniform(0.1, 2.0, size=(n, k)))
 
 
 class TestStump:
@@ -70,7 +70,7 @@ class TestSplitScores:
             w = random_weights(rng, n, k)
             out = rng.choice([-1, 1], size=n)
             scores = accumulate_split(out, w)
-            sp, sm = naive_split_scores(out, w.w_plus, w.w_minus)
+            sp, sm = naive_split_scores(out, *halves(w))
             np.testing.assert_allclose(scores.s_plus, sp, rtol=1e-14)
             np.testing.assert_allclose(scores.s_minus, sm, rtol=1e-14)
 
@@ -79,7 +79,7 @@ class TestSplitScores:
         w = random_weights(rng, n, k)
         out = rng.choice([-1, 1], size=n)
         scores = accumulate_split(out, w)
-        mass = (w.w_plus.sum() + w.w_minus.sum()) / (2.0 * n)
+        mass = (halves(w)[0].sum() + halves(w)[1].sum()) / (2.0 * n)
         assert float(np.sum(scores.s_plus + scores.s_minus)) == pytest.approx(mass, rel=1e-13)
 
     def test_output_flip_swaps_sides(self, rng):
@@ -119,12 +119,43 @@ def _weighted_problems(draw):
         mantissa[:k] = 0.0
     elif side == "upper":
         mantissa[:, features[:, 0] <= np.median(features[:, 0])] = 0.0
-    weights = WeightState(w_plus=mantissa[:k].T, w_minus=mantissa[k:].T)
+    weights = class_major(mantissa[:k].T, mantissa[k:].T)
     return Dataset.from_arrays(features, np.arange(n) % k + 1, k), weights, n_tau
 
 
 def _sample_major(weights):
-    return np.ascontiguousarray(weights.w_plus), np.ascontiguousarray(weights.w_minus)
+    return tuple(np.ascontiguousarray(half) for half in halves(weights))
+
+
+@st.composite
+def _layer_cases(draw):
+    """A `_weighted_problems` case with a tree of depth 1-4 to deepen and a
+    vector.  Each node is hand-built: either polarity, cut at a grid
+    threshold, at a feature value (off the grid unless the feature is
+    constant) or elsewhere; deeper trees leave slots empty."""
+    data, weights, n_tau = draw(_weighted_problems())
+    grid = build_grid(data.features, n_tau)
+    d = data.features.shape[1]
+    depth = draw(st.integers(1, 4))
+    nodes = []
+    for _ in range(2 ** depth - 1):
+        j = draw(st.integers(0, d - 1))
+        where = draw(st.sampled_from(["grid", "value", "elsewhere"]))
+        if where == "grid":
+            threshold = draw(st.sampled_from(grid.thresholds[j].tolist()))
+        elif where == "value":
+            threshold = draw(st.sampled_from(data.features[:, j].tolist()))
+        else:
+            threshold = draw(st.sampled_from([-3.0, 0.25, 0.75, 1.75, 4.0]))
+        nodes.append(Stump(feature=j, threshold=float(threshold),
+                           polarity=draw(st.sampled_from([1, -1]))))
+    k = weights.shape[0] // 2
+    vector = draw(st.sampled_from([0.0, 0.5, 40.0, 800.0])) * np.random.default_rng(
+        draw(st.integers(0, 2 ** 32 - 1))).normal(size=k)
+    return data, weights, grid, Tree(depth=depth, nodes=nodes), vector
+
+
+_NAN_CUT_X = np.array([[0.0, 2.0], [0.0, 0.0], [2.0, 0.0]])
 
 
 class TestSearchBitEquality:
@@ -133,8 +164,8 @@ class TestSearchBitEquality:
     @settings(max_examples=300, deadline=None)
     @given(case=_weighted_problems())
     @example(case=(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([1, 2]), 2),
-                   WeightState(w_plus=np.array([[1e300, 0.0], [1e-300, 2.0]]),
-                               w_minus=np.array([[0.0, 0.0], [3.0, 1e300]])), 1))
+                   class_major(np.array([[1e300, 0.0], [1e-300, 2.0]]),
+                               np.array([[0.0, 0.0], [3.0, 1e300]])), 1))
     def test_stump_search_matches_naive(self, case):
         data, weights, n_tau = case
         grid = build_grid(data.features, n_tau)
@@ -163,6 +194,26 @@ class TestSearchBitEquality:
         assert scores.s_plus.tobytes() == s_plus.tobytes()
         assert scores.s_minus.tobytes() == s_minus.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=_layer_cases())
+    # slot 0's inherited cut scores nan (an infinite u below it) while feature
+    # 1 offers a finite cut, which the leaf takes: nan is not >= the best
+    @example(case=(Dataset.from_arrays(_NAN_CUT_X, np.array([1, 2, 1]), 2),
+                   class_major(np.array([[1e300, 0.0], [1.0, 1.0], [1.0, 1.0]]), np.ones((3, 2))),
+                   build_grid(_NAN_CUT_X, 1), Tree.from_stump(Stump(0, 1.0, 1)),
+                   np.array([40.0, 0.0])))
+    def test_grow_layer_matches_per_slot_search(self, case):
+        data, weights, grid, tree, vector = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = grow_layer(tree, vector, data, weights, grid, epsilon=1e-3)
+            ref = per_slot_grow_layer(tree, vector, data, weights, grid, epsilon=1e-3)
+        assert fit.learner == ref.learner
+        assert fit.outputs.dtype == ref.outputs.dtype
+        np.testing.assert_array_equal(fit.outputs, ref.outputs)
+        assert fit.scores.s_plus.tobytes() == ref.scores.s_plus.tobytes()
+        assert fit.scores.s_minus.tobytes() == ref.scores.s_minus.tobytes()
+        assert fit.vector.tobytes() == ref.vector.tobytes()
+
     def test_cut_sums_add_each_group_in_sample_order(self):
         rows = np.array([[1.0, 1e16, -1e16, 3.0], [0.5, 0.25, 0.0, 2.0]])
         group = np.array([0, 1, 1, 0])
@@ -171,19 +222,16 @@ class TestSearchBitEquality:
                                             [2.5, 0.25, 0.0]])
 
 
-class TestWeightState:
-    def test_views_share_the_class_major_buffer(self, rng):
+class TestClassMajor:
+    def test_rows_hold_each_class_and_sign(self, rng):
         wp, wm = rng.uniform(size=(5, 3)), rng.uniform(size=(5, 3))
-        w = WeightState(w_plus=wp, w_minus=wm)
-        assert w.w.shape == (6, 5) and w.w.flags.c_contiguous
-        np.testing.assert_array_equal(w.w_plus, wp)
-        np.testing.assert_array_equal(w.w_minus, wm)
-        w.w_minus *= 2.0
-        np.testing.assert_array_equal(w.w[3:], 2.0 * wm.T)
-        w.w_plus = np.ones((5, 3))
-        np.testing.assert_array_equal(w.w[:3], 1.0)
-        wp[0, 0] = -1.0  # the constructor copied its arguments
-        assert w.w[0, 0] == 1.0
+        w = class_major(wp, wm)
+        assert w.shape == (6, 5) and w.flags.c_contiguous and w.dtype == np.float64
+        np.testing.assert_array_equal(w[:3], wp.T)
+        np.testing.assert_array_equal(w[3:], wm.T)
+        wp[0, 0] = -1.0  # a new array, not a view of its arguments
+        assert w[0, 0] != -1.0
+        assert class_major(np.ones((2, 1), dtype=np.int64), np.zeros((2, 1))).dtype == np.float64
 
 
 class TestOptimalVector:
@@ -260,7 +308,7 @@ class TestStumpSearch:
                 update_weights(w, out, rng.normal(scale=0.3, size=k))
             grid = build_grid(data.features, n_tau)
             stump, _, crit, *_ = stump_search(data, w, grid, epsilon=1e-3)
-            ref_stump, ref_crit = naive_stump_search(data.features, w.w_plus, w.w_minus, grid)
+            ref_stump, ref_crit = naive_stump_search(data.features, *halves(w), grid)
             assert (stump.feature, stump.threshold) == (ref_stump.feature, ref_stump.threshold)
             assert crit == pytest.approx(ref_crit, abs=1e-12)
 
