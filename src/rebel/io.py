@@ -275,20 +275,21 @@ def model_from_text(text: str) -> StrongClassifier:
     if parts[1] != str(MODEL_VERSION):
         raise ModelParseError(f"unsupported model version {parts[1]}", off)
 
-    def keyed_int(key: str) -> int:
+    def keyed_int(key: str) -> tuple[int, int]:
+        """The integer of a `key N` line, and the line's byte offset."""
         line, off = rd.next(key)
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise ModelParseError(f"expected '{key} N', got {line!r}", off)
         try:
-            return int(parts[1])
+            return int(parts[1]), off
         except ValueError:
             raise ModelParseError(f"bad integer in {line!r}", off) from None
 
-    k = keyed_int("k")
-    d = keyed_int("d")
+    k, k_off = keyed_int("k")
+    d, d_off = keyed_int("d")
     if k < 2 or d < 1:
-        raise ModelParseError(f"bad dimensions k={k} d={d}", 0)
+        raise ModelParseError(f"bad dimensions k={k} d={d}", k_off if k < 2 else d_off)
 
     line, off = rd.next("config")
     if not line.startswith("config"):
@@ -301,15 +302,15 @@ def model_from_text(text: str) -> StrongClassifier:
         raise ModelParseError(f"expected a0 line, got {line!r}", off)
     a0 = _parse_floats(parts[1:], k, "a0", off)
 
-    n_rounds = keyed_int("rounds")
+    n_rounds, off = keyed_int("rounds")
     if n_rounds < 0:
-        raise ModelParseError(f"negative round count {n_rounds}", 0)
+        raise ModelParseError(f"negative round count {n_rounds}", off)
 
     rounds = []
     for _ in range(n_rounds):
-        depth = keyed_int("tree")
+        depth, off = keyed_int("tree")
         if depth < 1:
-            raise ModelParseError(f"bad tree depth {depth}", rd.offset)
+            raise ModelParseError(f"bad tree depth {depth}", off)
         nodes = []
         for _ in range(2 ** depth - 1):
             line, off = rd.next("node")

@@ -266,6 +266,44 @@ class TestBulkParse:
         assert len(calls) == 1
 
 
+def _line_starts(text):
+    """Byte offsets where a line of `text` starts; an unterminated last line
+    counts as closed, so the offset just past it counts too."""
+    data = text.encode("utf-8") + b"\n"
+    return {0} | {i + 1 for i, byte in enumerate(data) if byte == ord("\n")}
+
+
+@st.composite
+def _edited_model_texts(draw):
+    """A model's text with one to three edits: a line replaced by a keyed line
+    with odd fields, dropped, repeated, or the text cut short.  The config
+    line may hold non-ASCII text, so byte and character offsets differ."""
+    model = random_model(draw(st.integers(0, 10 ** 6)), k=draw(st.integers(2, 4)), d=3,
+                         depth=draw(st.integers(1, 2)), rounds=draw(st.integers(0, 3)))
+    model.fingerprint = draw(st.text(st.characters(codec="utf-8", exclude_characters="\n"),
+                                     max_size=6))
+    lines = model_to_text(model).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "repeat", "cut"]))
+        if edit == "replace":
+            key = draw(st.sampled_from(["k", "d", "config", "a0", "rounds", "tree", "node", "a",
+                                        "end", ""]))
+            fields = draw(st.lists(st.sampled_from(["-1", "0", "1", "2", "3", "0.5", "nan",
+                                                    "x", "\xe9"]), max_size=4))
+            lines[i] = " ".join([key] + fields)
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+            del lines[i + 1:]
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
 class TestModelFormat:
     def test_text_round_trip_is_byte_identical(self):
         for seed, depth in [(1, 1), (2, 2), (3, 3)]:
@@ -316,6 +354,39 @@ class TestModelFormat:
         with pytest.raises(ModelParseError, match="polarity") as exc:
             model_from_text("\n".join(lines))
         assert exc.value.byte_offset == sum(len(l) + 1 for l in lines[:idx])
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("k", "1", "bad dimensions k=1"),
+        ("d", "0", "bad dimensions k=3 d=0"),
+        ("rounds", "-1", "negative round count"),
+        ("tree", "0", "bad tree depth"),
+    ])
+    def test_range_errors_report_their_line(self, key, value, match):
+        lines = model_to_text(random_model(7, rounds=2)).split("\n")
+        idx = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+        lines[idx] = f"{key} {value}"
+        with pytest.raises(ModelParseError, match=match) as exc:
+            model_from_text("\n".join(lines))
+        assert exc.value.byte_offset == sum(len(line) + 1 for line in lines[:idx])
+
+    def test_bad_dimensions_name_the_k_line_first(self):
+        text = model_to_text(random_model(7, rounds=0))
+        with pytest.raises(ModelParseError, match="bad dimensions") as exc:
+            model_from_text(text.replace("\nk 3\nd 4\n", "\nk 0\nd 0\n", 1))
+        assert exc.value.byte_offset == len("rebel-model 1\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_edited_model_texts() | st.text(max_size=40))
+    def test_rejections_point_at_a_line_start(self, text):
+        """Every rejection names the byte offset of a line's start, and a
+        message that quotes a line quotes the one at that offset."""
+        try:
+            model_from_text(text)
+        except ModelParseError as exc:
+            assert exc.byte_offset in _line_starts(text)
+            quoted = text.encode("utf-8")[exc.byte_offset:].split(b"\n", 1)[0].decode("utf-8")
+            if "got '" in str(exc) or "in '" in str(exc) or "content '" in str(exc):
+                assert repr(quoted) in str(exc)
 
     def test_version_mismatch(self):
         text = model_to_text(random_model(7, rounds=1))
