@@ -23,13 +23,6 @@ from .synth import (gen_cost_matrix, gen_dataset, parse_spec_file, random_mixtur
 ORACLE_TOL = 1e-9
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("REBEL_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_costs(path: str | None, k: int) -> CostMatrix:
     if path is None:
         return CostMatrix.uniform(k)
@@ -170,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rebel",
         description="Cost-sensitive multi-class boosting with binary weak learners.")
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--workers", type=int, default=_default_workers(),
-                        help="worker processes (default REBEL_WORKERS or 1)")
+    shared.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a model")

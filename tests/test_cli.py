@@ -103,6 +103,12 @@ def test_workers_only_on_pooled_commands(command, capsys):
         assert cli.build_parser().parse_args(pooled + ["--workers", "2"]).workers == 2
 
 
+def test_workers_default_to_one_whatever_the_environment(monkeypatch):
+    monkeypatch.setenv("REBEL_WORKERS", "4")
+    for pooled in (["compare", "--out", "c.csv"], ["oracle-check"]):
+        assert cli.build_parser().parse_args(pooled).workers == 1
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert run(["train", "--data", tmp_path / "nope.csv", "--labels", "col:-1",
                 "--rounds", 3, "--out", tmp_path / "m.txt"]) == 2
