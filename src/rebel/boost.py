@@ -110,7 +110,6 @@ class TrainConfig:
     n_tau: int = 200
     epsilon: float | None = None  # None -> 1 / (2 N K)
     fit_a0: bool = True
-    seed: int = 0
     early_stop_on_certificate: bool = True
 
     def validate(self) -> None:
@@ -203,7 +202,7 @@ def edge(scores: SplitScores, c_star_bar: float, floor: float,
 
 def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
     return (f"rounds={cfg.rounds} depth={cfg.tree_depth} ntau={cfg.n_tau} "
-            f"epsilon={epsilon!r} a0={int(cfg.fit_a0)} seed={cfg.seed}")
+            f"epsilon={epsilon!r} a0={int(cfg.fit_a0)}")
 
 
 def fit_learner(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid, epsilon: float,

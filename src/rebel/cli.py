@@ -37,7 +37,7 @@ def cmd_train(args) -> int:
     costs = _load_costs(args.costs, data.k)
     epsilon = None if args.epsilon == "auto" else float(args.epsilon)
     cfg = TrainConfig(rounds=args.rounds, tree_depth=args.depth, n_tau=args.ntau,
-                      epsilon=epsilon, fit_a0=not args.no_a0, seed=args.seed,
+                      epsilon=epsilon, fit_a0=not args.no_a0,
                       early_stop_on_certificate=not args.no_early_stop)
     model, trace = train(data, costs, cfg)
     save_model(model, args.out)
@@ -178,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-a0", action="store_true", help="skip the constant-offset fit")
     t.add_argument("--no-early-stop", action="store_true",
                    help="ignore the zero-risk certificate while training")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="model output path")
     t.add_argument("--trace", help="per-round trace CSV path")
     t.add_argument("--val", help="validation CSV for round selection")

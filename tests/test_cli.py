@@ -103,6 +103,15 @@ def test_workers_only_on_pooled_commands(command, capsys):
         assert cli.build_parser().parse_args(pooled + ["--workers", "2"]).workers == 2
 
 
+def test_train_takes_no_seed(capsys):
+    """Training is deterministic, so `train` has no seed to take."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["train", "--data", "d.csv", "--labels", "col:-1",
+                                       "--rounds", "2", "--out", "m.txt", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_workers_default_to_one_whatever_the_environment(monkeypatch):
     monkeypatch.setenv("REBEL_WORKERS", "4")
     for pooled in (["compare", "--out", "c.csv"], ["oracle-check"]):
