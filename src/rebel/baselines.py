@@ -3,45 +3,31 @@
 The AdaBoost trainer shares the threshold grid, tie-breaking, and smoothing
 scale of the multiclass trainer, so on a two-class problem with uniform costs
 the two must pick the same stump and coefficient every round; the reduction
-checker below verifies exactly that.
+checker below verifies exactly that.  Its model is a two-class
+`StrongClassifier`, so both routes are scored, saved and loaded alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .boost import StrongClassifier, TrainConfig, train
 from .costs import CostMatrix
-from .weak import SELECTION_SLACK, Stump, build_grid, cut_sums, first_within_slack
+from .weak import SELECTION_SLACK, Stump, Tree, build_grid, cut_sums, first_within_slack
 
 if TYPE_CHECKING:
     from .io import Dataset
 
 
-@dataclass
-class BinaryAdaBoostModel:
-    """Weighted vote of stumps; margin(x) = sum_t alpha_t f_t(x) for class 1 vs 2."""
-
-    d: int
-    rounds: list[tuple[Stump, float]]
-
-    def margin(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        out = np.zeros(features.shape[0])
-        for stump, alpha in self.rounds:
-            out += alpha * stump.evaluate(features)
-        return out
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """1-based labels; a zero margin ties to class 1 (lowest index)."""
-        return np.where(self.margin(features) >= 0, 1, 2)
-
-
 def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
-                   epsilon: float | None = None) -> BinaryAdaBoostModel:
+                   epsilon: float | None = None) -> StrongClassifier:
     """Discrete AdaBoost with grid stumps searched in both polarities.
+
+    The vote sum_t alpha_t f_t(x) comes back as a two-class StrongClassifier
+    with a0 = 0 and one depth-1 tree per round whose vector is
+    (alpha, -alpha), so class 1's score is the vote, class 2's its negation,
+    and a zero vote ties to class 1.
 
     Sample weights start at one each and are never renormalized; the
     coefficient is alpha = ln((correct + eps) / (error + eps)) / 2 over
@@ -61,7 +47,7 @@ def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
     y_star = np.where(data.labels == 1, 1.0, -1.0)
     grid = build_grid(X, n_tau)
     weights = np.ones(n)
-    model = BinaryAdaBoostModel(d=X.shape[1], rounds=[])
+    model = StrongClassifier(k=2, d=X.shape[1], a0=np.zeros(2), rounds=[])
 
     for _ in range(rounds):
         total = weights.sum()
@@ -87,14 +73,14 @@ def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
                 i = first_within_slack(key, limit)
                 break
         err = float(err_plus[i])
-        if err <= total - err:
-            stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=1)
-        else:
-            stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=-1)
-            err = total - err
+        polarity = 1 if err <= total - err else -1
+        err = min(err, total - err)
         alpha = 0.5 * (np.log((total - err) + epsilon) - np.log(err + epsilon))
-        model.rounds.append((stump, float(alpha)))
-        weights = weights * np.exp(-alpha * y_star * stump.evaluate(X))
+        stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=polarity)
+        model.rounds.append((Tree.from_stump(stump), np.array([alpha, -alpha])))
+        # the stump's outputs, off the bins: x > tau_i exactly when bin > i
+        outputs = polarity * np.where(grid.buckets[j] > i, 1, -1)
+        weights = weights * np.exp(-alpha * y_star * outputs)
     return model
 
 
@@ -157,13 +143,14 @@ def run_reduction_trial(seed: int, n: int = 200, d: int = 5, rounds: int = 50,
     stump_mismatches = 0
     coeff_gap = 0.0
     paired = 0
-    for (tree, vector), (stump, alpha) in zip(model.rounds, ada.rounds):
-        root = tree.nodes[0]
+    for (tree, vector), (ada_tree, ada_vector) in zip(model.rounds, ada.rounds):
+        root, stump = tree.nodes[0], ada_tree.nodes[0]
         paired += 1
         if (root.feature, root.threshold) != (stump.feature, stump.threshold):
             stump_mismatches += 1
             continue
-        coeff_gap = max(coeff_gap, abs(float(vector[0]) - stump.polarity * alpha))
+        alpha = stump.polarity * float(ada_vector[0])
+        coeff_gap = max(coeff_gap, abs(float(vector[0]) - alpha))
 
     h = model.scores(data.features)
     symmetry_gap = float(np.max(np.abs(h[:, 0] + h[:, 1]))) if h.size else 0.0

@@ -309,7 +309,9 @@ def model_from_text(text: str) -> StrongClassifier:
     rounds = []
     for _ in range(n_rounds):
         depth, off = keyed_int("tree")
-        if depth < 1:
+        # 2^depth - 1 node lines must fit in the lines left; compared by bit
+        # length, since 2 ** depth of a corrupt depth can take gigabytes
+        if depth < 1 or depth >= (len(rd.lines) - rd.pos + 1).bit_length():
             raise ModelParseError(f"bad tree depth {depth}", off)
         nodes = []
         for _ in range(2 ** depth - 1):

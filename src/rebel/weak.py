@@ -6,7 +6,10 @@ a free K-vector fitted in closed form from split scores.  The search over
 reads every candidate split off prefix sums, so a full scan costs
 O(d * (N + n_tau) * K) instead of O(d * n_tau * N * K).  Growing a tree
 layer searches all of its leaves at once: one histogram per feature over the
-index `slot * (m + 1) + bin`.
+index `slot * (m + 1) + bin`.  During training the stump test is read off
+the bins, `bin > i` for the grid's i-th threshold: a searched stump's
+outputs, and a grown layer's, whose kept leaves repeat their parent's side.
+In scoring, `Stump.plus_side` holds the same test on the features.
 
 The round's weights are one C-contiguous class-major (2K, N) array (see
 `class_major`): row k holds class k's positive weights, row K + k its
@@ -34,9 +37,10 @@ class Stump:
     threshold: float
     polarity: int
 
-    def evaluate(self, features: np.ndarray) -> np.ndarray:
-        vals = features[:, self.feature]
-        return self.polarity * np.where(vals > self.threshold, 1, -1)
+    def plus_side(self, features: np.ndarray) -> np.ndarray:
+        """Where the stump outputs +1: x[feature] > threshold, inverted for polarity -1."""
+        side = features[:, self.feature] > self.threshold
+        return side if self.polarity > 0 else ~side
 
 
 # Deepest tree that `Tree.plus_side` evaluates by selection rather than by
@@ -98,10 +102,7 @@ class Tree:
     def _select(self, features: np.ndarray, i: int) -> np.ndarray:
         # a node's +1 side takes its right subtree; a last-level node's side
         # is the output, as in `route`
-        stump = self.nodes[i]
-        side = features[:, stump.feature] > stump.threshold
-        if stump.polarity < 0:
-            side = ~side
+        side = self.nodes[i].plus_side(features)
         if 2 * i + 1 >= len(self.nodes):
             return side
         return np.where(side, self._select(features, 2 * i + 2),
@@ -307,11 +308,10 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: np.ndar
     `slot * (m + 1) + bin`.  Finally the vector is refitted to the deeper
     tree, keeping the old vector if smoothing would make the refit worse.
     Returns the grown tree with its vector, criterion, outputs and split
-    scores.
+    scores; the outputs are read off the bins, as `stump_search`'s are.
     """
-    X = data.features
     u, v = _side_costs(weights, vector)
-    _, slots = tree.route(X)
+    _, slots = tree.route(data.features)
     n_slots = 2 ** tree.depth
     parents = tree.nodes[2 ** (tree.depth - 1) - 1:]
     leaf = np.arange(n_slots)
@@ -359,8 +359,14 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: np.ndar
                        polarity=1 - 2 * int(best_i[s] % 2))
                  if improved[s] else parents[s // 2] for s in leaf]
 
+    # the grown tree's outputs, off the bins: a kept leaf repeats its parent's
+    # side, s % 2; a re-searched one outputs +1 where bin > i, inverted for -1
+    plus = slots % 2 == 1
+    for s in np.flatnonzero(improved):
+        side = (grid.buckets[best_j[s]] > best_i[s] // 2) != (best_i[s] % 2 == 1)
+        np.copyto(plus, side, where=slots == s)
+    outputs = np.where(plus, 1, -1)
     grown = Tree(depth=tree.depth + 1, nodes=list(tree.nodes) + new_nodes)
-    outputs = grown.evaluate(X)
     scores = accumulate_split(outputs, weights)
     refit, criterion = optimal_vector(scores, epsilon)
     if split_value(scores, refit) > split_value(scores, vector):

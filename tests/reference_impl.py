@@ -104,7 +104,7 @@ def _best_leaf_stump(X, sel, u, v, grid, init):
                 init_obj = float(obj_plus[pos] if init.polarity > 0 else obj_minus[pos])
     if init_obj is None:
         # inherited cut is off this grid; score it directly
-        g = init.evaluate(X[sel])
+        g = Tree.from_stump(init).evaluate(X[sel])
         init_obj = float(u[g > 0].sum() + v[g < 0].sum())
     if best is None or best_obj >= init_obj:
         return init

@@ -114,19 +114,30 @@ def test_criterion_3_certificate(multiclass_traces, capsys):
     xor = xor_dataset()
     _, trace = train(xor, CostMatrix.uniform(2), TrainConfig(rounds=50, tree_depth=2))
     traces.append(trace)
+    # runs that train on past the certificate, so that many rounds sit below it:
+    # separable problems at K=2 with random costs and at K=3 with uniform ones
+    # (neither has a smoothed-risk phase), each with stumps and depth-2 trees
+    unstopped = []
+    for depth in (1, 2):
+        for seed in (5, 6, 7):
+            for data, costs in (separable(seed, k=2),
+                                (separable(seed)[0], CostMatrix.uniform(3))):
+                _, trace = train(data, costs, TrainConfig(rounds=60, tree_depth=depth,
+                                                          early_stop_on_certificate=False))
+                unstopped.append(trace)
 
-    below = 0
-    violations = 0
-    for trace in traces:
-        for r in trace.rounds:
-            if r.loss < trace.certificate:
-                below += 1
-                if r.train_risk != 0.0:
-                    violations += 1
-    ok = violations == 0 and below > 0
+    def below_and_violations(runs):
+        below = [r for trace in runs for r in trace.rounds if r.loss < trace.certificate]
+        return len(below), sum(r.train_risk != 0.0 for r in below)
+
+    below, violations = below_and_violations(traces + unstopped)
+    below_unstopped, _ = below_and_violations(unstopped)
+    ends = {trace.stopped for trace in unstopped}
+    ok = violations == 0 and below > 0 and ends <= {"rounds", "floor"}
     announce(capsys, 3, ok,
-             f"{len(traces)} runs: {below} below-certificate rounds, "
-             f"{violations} risk violations")
+             f"{len(traces) + len(unstopped)} runs: {below} below-certificate rounds "
+             f"({below_unstopped} in the {len(unstopped)} runs past the certificate, "
+             f"which stopped on {'/'.join(sorted(ends))}), {violations} risk violations")
 
 
 def test_criterion_4_cost_sensitive_vs_plugin(capsys):

@@ -3,23 +3,24 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from rebel.baselines import (BinaryAdaBoostModel, adaboost_train, posterior_all,
-                             random_binary_dataset, run_reduction_trial, two_step_predict_all)
+from rebel.baselines import (adaboost_train, posterior_all, random_binary_dataset,
+                             run_reduction_trial, two_step_predict_all)
+from rebel.boost import StrongClassifier, predict_all
 from rebel.costs import CostMatrix
-from rebel.weak import Stump
+from rebel.weak import Stump, Tree
 
 
 class TestAdaBoost:
     def test_training_error_decreases(self):
         data = random_binary_dataset(4, n=150, d=4)
         model = adaboost_train(data, rounds=40)
-        preds = model.predict(data.features)
+        preds = predict_all(model, data.features)
         base = np.mean(data.labels != 1)  # all-one classifier
         assert np.mean(preds != data.labels) < min(base, 1 - base)
 
     def test_zero_margin_ties_to_class_one(self):
-        model = BinaryAdaBoostModel(d=1, rounds=[])
-        np.testing.assert_array_equal(model.predict(np.zeros((3, 1))), [1, 1, 1])
+        model = adaboost_train(random_binary_dataset(4, n=20, d=1), rounds=0)
+        np.testing.assert_array_equal(predict_all(model, np.zeros((3, 1))), [1, 1, 1])
 
     def test_rejects_multiclass_data(self):
         from conftest import random_problem
@@ -28,12 +29,14 @@ class TestAdaBoost:
             adaboost_train(data, rounds=2)
 
     def test_margin_is_weighted_vote(self):
-        model = BinaryAdaBoostModel(d=1, rounds=[
-            (Stump(0, 0.0, 1), 0.75),
-            (Stump(0, 2.0, -1), 0.25),
+        model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[
+            (Tree.from_stump(Stump(0, 0.0, 1)), np.array([0.75, -0.75])),
+            (Tree.from_stump(Stump(0, 2.0, -1)), np.array([0.25, -0.25])),
         ])
         x = np.array([[1.0], [3.0], [-1.0]])
-        np.testing.assert_allclose(model.margin(x), [1.0, 0.5, -0.5], atol=1e-15)
+        scores = model.scores(x)
+        np.testing.assert_allclose(scores[:, 0], [1.0, 0.5, -0.5], atol=1e-15)
+        np.testing.assert_array_equal(scores[:, 1], -scores[:, 0])
 
 
 class TestReduction:

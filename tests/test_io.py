@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_model, random_problem
 from reference_impl import cell_by_cell_dataset, cell_by_cell_parse
-from rebel.boost import TrainConfig, train
+from rebel.baselines import adaboost_train, random_binary_dataset
+from rebel.boost import StrongClassifier, TrainConfig, train
 from rebel.io import (Dataset, ModelParseError, load_dataset, load_features,
                       load_model, model_from_text, model_to_text, save_dataset,
                       save_model, write_trace)
+from rebel.weak import Stump, Tree
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -304,7 +307,49 @@ def _edited_model_texts(draw):
     return "\n".join(lines)
 
 
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@st.composite
+def _models_and_rows(draw):
+    """A model with rows to score: either random, with K 2-9 and 0-5 rounds
+    of trees of depth 1-4 whose values include signed zeros, the least
+    subnormal and the largest finite floats, or trained by `adaboost_train`
+    for 0-5 rounds."""
+    floats = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        data = random_binary_dataset(draw(st.integers(0, 1000)), n=40, d=3)
+        model = adaboost_train(data, rounds=draw(st.integers(0, 5)), n_tau=20)
+    else:
+        k, d = draw(st.integers(2, 9)), draw(st.integers(1, 4))
+
+        def vector():
+            return np.array(draw(st.lists(floats, min_size=k, max_size=k)))
+
+        rounds = []
+        for _ in range(draw(st.integers(0, 5))):
+            depth = draw(st.integers(1, 4))
+            nodes = [Stump(feature=draw(st.integers(0, d - 1)), threshold=draw(floats),
+                           polarity=draw(st.sampled_from([1, -1])))
+                     for _ in range(2 ** depth - 1)]
+            rounds.append((Tree(depth=depth, nodes=nodes), vector()))
+        model = StrongClassifier(k=k, d=d, a0=vector(), rounds=rounds, fingerprint=draw(
+            st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=6)))
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 8)), model.d), elements=floats))
+    return model, rows
+
+
 class TestModelFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_models_and_rows())
+    def test_round_trip_is_byte_and_bit_exact(self, case):
+        model, rows = case
+        text = model_to_text(model)
+        back = model_from_text(text)
+        assert model_to_text(back) == text
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert back.scores(rows).tobytes() == model.scores(rows).tobytes()
+
     def test_text_round_trip_is_byte_identical(self):
         for seed, depth in [(1, 1), (2, 2), (3, 3)]:
             model = random_model(seed, k=3 + seed % 2, d=5, depth=depth, rounds=4)
@@ -360,6 +405,7 @@ class TestModelFormat:
         ("d", "0", "bad dimensions k=3 d=0"),
         ("rounds", "-1", "negative round count"),
         ("tree", "0", "bad tree depth"),
+        ("tree", "4000000000", "bad tree depth 4000000000"),
     ])
     def test_range_errors_report_their_line(self, key, value, match):
         lines = model_to_text(random_model(7, rounds=2)).split("\n")
@@ -368,6 +414,19 @@ class TestModelFormat:
         with pytest.raises(ModelParseError, match=match) as exc:
             model_from_text("\n".join(lines))
         assert exc.value.byte_offset == sum(len(line) + 1 for line in lines[:idx])
+
+    def test_tree_depth_is_checked_against_the_lines_left(self):
+        """A tree whose node lines cannot fit in the rest of the text has a bad
+        depth, named at its own line; one whose nodes fit fails further on."""
+        lines = model_to_text(random_model(7, depth=2, rounds=1)).split("\n")
+        idx = next(i for i, line in enumerate(lines) if line.startswith("tree "))
+        cut = lines[:idx + 4]  # the tree line and its three node lines, no a line
+        with pytest.raises(ModelParseError, match="unexpected end of file, wanted a"):
+            model_from_text("\n".join(cut))
+        cut[idx] = "tree 3"
+        with pytest.raises(ModelParseError, match="bad tree depth 3") as exc:
+            model_from_text("\n".join(cut))
+        assert exc.value.byte_offset == sum(len(line) + 1 for line in cut[:idx])
 
     def test_bad_dimensions_name_the_k_line_first(self):
         text = model_to_text(random_model(7, rounds=0))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import halves, random_costs, random_problem
-from rebel.boost import init_weights, update_weights
+from rebel.boost import fit_learner, init_weights, update_weights
 from rebel.io import Dataset
 from rebel.weak import (SplitScores, Stump, Tree, accumulate_split, build_grid,
                         class_major, cut_sums, grow_layer, optimal_vector, split_value,
@@ -23,18 +23,18 @@ class TestStump:
     def test_threshold_ties_route_negative(self):
         stump = Stump(feature=0, threshold=1.0, polarity=1)
         x = np.array([[0.5], [1.0], [1.5]])
-        np.testing.assert_array_equal(stump.evaluate(x), [-1, -1, 1])
+        np.testing.assert_array_equal(Tree.from_stump(stump).evaluate(x), [-1, -1, 1])
 
     def test_polarity_flip(self):
         x = np.array([[0.5], [1.5]])
-        plus = Stump(feature=0, threshold=1.0, polarity=1).evaluate(x)
-        minus = Stump(feature=0, threshold=1.0, polarity=-1).evaluate(x)
+        plus = Tree.from_stump(Stump(feature=0, threshold=1.0, polarity=1)).evaluate(x)
+        minus = Tree.from_stump(Stump(feature=0, threshold=1.0, polarity=-1)).evaluate(x)
         np.testing.assert_array_equal(minus, -plus)
 
     def test_feature_selection(self):
         stump = Stump(feature=1, threshold=0.0, polarity=1)
         x = np.array([[9.0, -1.0], [-9.0, 1.0]])
-        np.testing.assert_array_equal(stump.evaluate(x), [-1, 1])
+        np.testing.assert_array_equal(Tree.from_stump(stump).evaluate(x), [-1, 1])
 
 
 class TestGrid:
@@ -60,7 +60,7 @@ class TestGrid:
         grid = build_grid(x, 10)
         np.testing.assert_array_equal(grid.thresholds[0], [3.0])
         stump = Stump(feature=0, threshold=3.0, polarity=1)
-        np.testing.assert_array_equal(stump.evaluate(x), [-1, -1, -1])
+        np.testing.assert_array_equal(Tree.from_stump(stump).evaluate(x), [-1, -1, -1])
 
 
 class TestSplitScores:
@@ -132,27 +132,52 @@ def _layer_cases(draw):
     """A `_weighted_problems` case with a tree of depth 1-4 to deepen and a
     vector.  Each node is hand-built: either polarity, cut at a grid
     threshold, at a feature value (off the grid unless the feature is
-    constant) or elsewhere; deeper trees leave slots empty."""
+    constant) or elsewhere; deeper trees leave slots empty.  Three shapes
+    aim at the reads off the bins:
+
+    - "ulps": feature 0 is a few ulps wide, so its grid repeats thresholds;
+    - "lean": samples above feature 0's median weigh only on the positive
+      sign, the rest only on the negative, and the vector is positive, so
+      the leaves' cheapest cuts on feature 0 have polarity -1;
+    - "agree": every cut is off the grid (unless it lands on it by chance)
+      and each sample weighs only on the sign that prefers the side its
+      slot already takes, so leaves keep their parent's off-grid cut.
+    """
     data, weights, n_tau = draw(_weighted_problems())
-    grid = build_grid(data.features, n_tau)
-    d = data.features.shape[1]
+    features = data.features
+    n, d = features.shape
+    k = weights.shape[0] // 2
+    shape = draw(st.sampled_from(["plain", "ulps", "lean", "agree"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "ulps":
+        base = draw(st.sampled_from([0.5, -3.0, 1e300]))
+        features[:, 0] = base + np.spacing(base) * rng.integers(0, 4, size=n)
+    grid = build_grid(features, n_tau)
     depth = draw(st.integers(1, 4))
     nodes = []
     for _ in range(2 ** depth - 1):
         j = draw(st.integers(0, d - 1))
-        where = draw(st.sampled_from(["grid", "value", "elsewhere"]))
+        where = draw(st.sampled_from(["value", "elsewhere"] if shape == "agree" else
+                                     ["grid", "value", "elsewhere"]))
         if where == "grid":
             threshold = draw(st.sampled_from(grid.thresholds[j].tolist()))
         elif where == "value":
-            threshold = draw(st.sampled_from(data.features[:, j].tolist()))
+            threshold = draw(st.sampled_from(features[:, j].tolist()))
         else:
             threshold = draw(st.sampled_from([-3.0, 0.25, 0.75, 1.75, 4.0]))
         nodes.append(Stump(feature=j, threshold=float(threshold),
                            polarity=draw(st.sampled_from([1, -1]))))
-    k = weights.shape[0] // 2
-    vector = draw(st.sampled_from([0.0, 0.5, 40.0, 800.0])) * np.random.default_rng(
-        draw(st.integers(0, 2 ** 32 - 1))).normal(size=k)
-    return data, weights, grid, Tree(depth=depth, nodes=nodes), vector
+    tree = Tree(depth=depth, nodes=nodes)
+    vector = draw(st.sampled_from([0.0, 0.5, 40.0, 800.0])) * rng.normal(size=k)
+    if shape in ("lean", "agree"):
+        # under a positive vector a sample with only negative weight costs
+        # less on the +1 side, one with only positive weight on the -1 side
+        plus = (features[:, 0] <= np.median(features[:, 0]) if shape == "lean"
+                else tree.route(features)[1] % 2 == 1)
+        weights[:k, plus] = 0.0
+        weights[k:, ~plus] = 0.0
+        vector = np.abs(vector) + 0.5
+    return data, weights, grid, tree, vector
 
 
 _NAN_CUT_X = np.array([[0.0, 2.0], [0.0, 0.0], [2.0, 0.0]])
@@ -213,6 +238,18 @@ class TestSearchBitEquality:
         assert fit.scores.s_plus.tobytes() == ref.scores.s_plus.tobytes()
         assert fit.scores.s_minus.tobytes() == ref.scores.s_minus.tobytes()
         assert fit.vector.tobytes() == ref.vector.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_layer_cases(), depth=st.integers(1, 5))
+    def test_fit_outputs_are_the_learners_outputs(self, case, depth):
+        """The outputs a fit reads off the bins are its tree's outputs on the
+        features, at every depth."""
+        data, weights, grid, _, _ = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = fit_learner(data, weights, grid, 1e-3, depth)
+        want = fit.learner.evaluate(data.features)
+        assert fit.learner.depth == depth and fit.outputs.dtype == want.dtype
+        np.testing.assert_array_equal(fit.outputs, want)
 
     def test_cut_sums_add_each_group_in_sample_order(self):
         rows = np.array([[1.0, 1e16, -1e16, 3.0], [0.5, 0.25, 0.0, 2.0]])
@@ -317,7 +354,7 @@ class TestStumpSearch:
             data, costs = random_problem(400 + seed, n=50, d=3, k=3)
             w = init_weights(costs, data)
             fit = stump_search(data, w, build_grid(data.features, 30), epsilon=1e-3)
-            outputs = fit.learner.evaluate(data.features)
+            outputs = Tree.from_stump(fit.learner).evaluate(data.features)
             np.testing.assert_array_equal(fit.outputs, outputs)
             scores = accumulate_split(outputs, w)
             assert fit.scores.s_plus.tobytes() == scores.s_plus.tobytes()
@@ -335,7 +372,7 @@ class TestTree:
         x = rng.normal(size=(20, 3))
         stump = Stump(feature=2, threshold=0.1, polarity=-1)
         tree = Tree.from_stump(stump)
-        np.testing.assert_array_equal(tree.evaluate(x), stump.evaluate(x))
+        np.testing.assert_array_equal(tree.evaluate(x), -np.where(x[:, 2] > 0.1, 1, -1))
 
     def test_node_count_validation(self):
         with pytest.raises(ValueError):
@@ -413,7 +450,7 @@ class TestGrowLayer:
         stump, vector, *_ = stump_search(data, w, grid, epsilon=1e-4)
         tree, vector2, *_ = grow_layer(Tree.from_stump(stump), vector, data, w, grid, 1e-4)
         np.testing.assert_array_equal(tree.evaluate(features),
-                                      stump.evaluate(features))
+                                      Tree.from_stump(stump).evaluate(features))
         np.testing.assert_array_equal(vector2, vector)
 
     def test_depth_two_learns_xor_depth_one_cannot(self):
