@@ -307,16 +307,14 @@ def _edited_model_texts(draw):
     return "\n".join(lines)
 
 
-_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
-
-
 @st.composite
 def _models_and_rows(draw):
     """A model with rows to score: either random, with K 2-9 and 0-5 rounds
     of trees of depth 1-4 whose values include signed zeros, the least
     subnormal and the largest finite floats, or trained by `adaboost_train`
     for 0-5 rounds."""
-    floats = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+    floats = (st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+              | st.floats(allow_nan=False, allow_infinity=False))
     if draw(st.booleans()):
         data = random_binary_dataset(draw(st.integers(0, 1000)), n=40, d=3)
         model = adaboost_train(data, rounds=draw(st.integers(0, 5)), n_tau=20)
