@@ -35,6 +35,14 @@ def _load_costs(path: str | None, k: int) -> CostMatrix:
 def cmd_train(args) -> int:
     data = load_dataset(args.data, args.labels)
     costs = _load_costs(args.costs, data.k)
+    val = None
+    if args.val:
+        # read before training, with the training set's label order, so a
+        # bad file fails before a model is written
+        val = load_dataset(args.val, args.val_labels or args.labels, data.label_names)
+        if val.features.shape[1] != data.features.shape[1]:
+            raise ValueError(f"{args.val}: {val.features.shape[1]} features, "
+                             f"training data has {data.features.shape[1]}")
     epsilon = None if args.epsilon == "auto" else float(args.epsilon)
     cfg = TrainConfig(rounds=args.rounds, tree_depth=args.depth, n_tau=args.ntau,
                       epsilon=epsilon, fit_a0=not args.no_a0,
@@ -49,8 +57,7 @@ def cmd_train(args) -> int:
     if final is not None:
         print(f"final loss {final.loss!r} train error {final.train_error!r} "
               f"train risk {final.train_risk!r}")
-    if args.val:
-        val = load_dataset(args.val, args.val_labels or args.labels)
+    if val is not None:
         best = select_rounds(model, val, costs)
         print(f"best validation round count: {best}")
     return 0

@@ -139,13 +139,15 @@ def _parse_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.nd
     raise AssertionError("bulk parse failed on cells that parse one by one")
 
 
-def load_dataset(path, labels: str) -> Dataset:
+def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dataset:
     """Load a feature CSV plus labels from a column or a side file.
 
     `labels` is "col:IDX" (0-based, negatives count from the end), a bare
     integer meaning the same, or "file:PATH" pointing at one label token per
     line.  Raw label tokens are mapped to 1..K by sorted order and the order
-    is kept in label_names.
+    is kept in label_names.  Given `label_names` (a training set's, say),
+    tokens are mapped through them instead, K is their count, and a token
+    not among them is an error naming its file and line.
 
     Nonblank lines are stripped and must all hold the same number of
     comma-separated cells.  A label token is its stripped line's cell,
@@ -158,9 +160,12 @@ def load_dataset(path, labels: str) -> Dataset:
     if labels.startswith("file:"):
         label_path = labels[5:]
         with open(label_path, "r", encoding="utf-8") as fh:
-            tokens = [ln.strip() for ln in fh if ln.strip()]
-        if len(tokens) != len(lines):
-            raise ValueError(f"{label_path}: {len(tokens)} labels for {len(lines)} data rows")
+            numbered = [(line_no, stripped) for line_no, ln in enumerate(fh, 1)
+                        if (stripped := ln.strip())]
+        if len(numbered) != len(lines):
+            raise ValueError(f"{label_path}: {len(numbered)} labels for {len(lines)} data rows")
+        token_source, token_lines = label_path, numbered
+        tokens = [token for _, token in numbered]
         feature_cols = list(range(width))
     else:
         spec = labels[4:] if labels.startswith("col:") else labels
@@ -176,14 +181,19 @@ def load_dataset(path, labels: str) -> Dataset:
         else:
             tokens = [stripped.split(",", idx + 1)[idx] for _, stripped in lines]
         feature_cols = [c for c in range(width) if c != idx]
+        token_source, token_lines = path, lines
 
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns left")
     features = _parse_columns(path, lines, feature_cols)
 
-    names = sorted(set(tokens))
+    names = sorted(set(tokens)) if label_names is None else list(label_names)
     index = {name: i + 1 for i, name in enumerate(names)}
-    mapped = np.array([index[t] for t in tokens], dtype=np.int64)
+    mapped = np.array([index.get(t, 0) for t in tokens], dtype=np.int64)
+    if not mapped.all():
+        unseen = int(np.argmin(mapped))  # the first 0
+        raise ValueError(f"{token_source}: line {token_lines[unseen][0]}: label "
+                         f"{tokens[unseen]!r} is not one of the training labels {names}")
     data = Dataset.from_arrays(features, mapped, k=len(names))
     data.label_names = names
     return data

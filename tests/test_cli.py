@@ -143,6 +143,59 @@ def test_bad_epsilon_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _three_class_train(tmp_path):
+    data = tmp_path / "train.csv"
+    data.write_text("0.0,a\n1.0,b\n2.0,c\n0.5,a\n1.5,b\n2.5,c\n")
+    return data
+
+
+def test_val_token_unseen_in_training_exits_2_before_training(tmp_path, capsys):
+    val = tmp_path / "val.csv"
+    val.write_text("0.0,a\n1.0,b\n\n2.0,d\n")
+    model = tmp_path / "m.txt"
+    assert run(["train", "--data", _three_class_train(tmp_path), "--labels", "col:-1",
+                "--rounds", 3, "--out", model, "--val", val]) == 2
+    captured = capsys.readouterr()
+    assert "trained" not in captured.out
+    assert f"{val}: line 4: label 'd' is not one of the training labels" in captured.err
+    assert not model.exists()
+
+
+def test_val_label_file_token_unseen_names_the_label_file(tmp_path, capsys):
+    val = tmp_path / "val.csv"
+    val.write_text("0.0\n1.0\n")
+    val_labels = tmp_path / "val_labels.txt"
+    val_labels.write_text("a\n\nz\n")
+    assert run(["train", "--data", _three_class_train(tmp_path), "--labels", "col:-1",
+                "--rounds", 3, "--out", tmp_path / "m.txt", "--val", val,
+                "--val-labels", f"file:{val_labels}"]) == 2
+    assert f"{val_labels}: line 3: label 'z'" in capsys.readouterr().err
+
+
+def test_val_with_fewer_classes_maps_through_training_labels(tmp_path, capsys, monkeypatch):
+    val = tmp_path / "val.csv"
+    val.write_text("0.0,a\n2.0,c\n2.2,c\n")
+    seen = []
+    select = cli.select_rounds
+    monkeypatch.setattr(cli, "select_rounds", lambda m, v, c: seen.append(v) or select(m, v, c))
+    assert run(["train", "--data", _three_class_train(tmp_path), "--labels", "col:-1",
+                "--rounds", 3, "--out", tmp_path / "m.txt", "--val", val]) == 0
+    assert "best validation round count" in capsys.readouterr().out
+    (got,) = seen
+    assert got.k == 3 and got.label_names == ["a", "b", "c"]
+    np.testing.assert_array_equal(got.labels, [1, 3, 3])
+
+
+def test_val_feature_width_mismatch_exits_2_before_training(tmp_path, capsys):
+    val = tmp_path / "val.csv"
+    val.write_text("0.0,0.0,a\n")
+    model = tmp_path / "m.txt"
+    assert run(["train", "--data", _three_class_train(tmp_path), "--labels", "col:-1",
+                "--rounds", 3, "--out", model, "--val", val]) == 2
+    assert "2 features, training data has 1" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_oracle_check_passes(capsys):
     assert run(["oracle-check", "--trials", 2, "--rounds", 8, "--n", 60,
                 "--d", 3, "--seed", 11]) == 0
