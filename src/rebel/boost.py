@@ -197,12 +197,20 @@ def init_weights(costs: CostMatrix, data: "Dataset") -> np.ndarray:
 
 
 def fit_constant(weights: np.ndarray, epsilon: float) -> np.ndarray:
-    """Closed-form constant score offset (the a0 term); updates weights in place."""
+    """Closed-form constant score offset (the a0 term); updates weights in place.
+
+    With epsilon 0, a class with no weight on one side gets an infinite
+    offset; the weights it leaves non-finite raise NumericOverflowError for
+    round 0.
+    """
     k = weights.shape[0] // 2
     ones = np.ones(weights.shape[1], dtype=np.int64)
     a0, _ = optimal_vector(accumulate_split(ones, weights), epsilon)
-    weights[:k] *= np.exp(a0)[:, None]
-    weights[k:] *= np.exp(-a0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights[:k] *= np.exp(a0)[:, None]
+        weights[k:] *= np.exp(-a0)[:, None]
+    if not np.isfinite(weights.max()):
+        raise NumericOverflowError(0)
     return a0
 
 

@@ -185,11 +185,20 @@ def tree_outputs(tree, features):
     return out
 
 
-def round_order_scores(model, features):
-    """Scores a0 + sum_t tree_t(x) * a_t, summed one round at a time in (N, K) layout."""
+def round_order_stages(model, features):
+    """Scores a0 + sum_t tree_t(x) * a_t, summed one round at a time in (N, K)
+    layout: a copy after a0, then one after each round."""
     h = np.tile(model.a0, (features.shape[0], 1))
+    yield h.copy()
     for tree, vector in model.rounds:
         h += tree_outputs(tree, features)[:, None] * vector
+        yield h.copy()
+
+
+def round_order_scores(model, features):
+    """The last of `round_order_stages`: the scores of the whole model."""
+    for h in round_order_stages(model, features):
+        pass
     return h
 
 

@@ -1,12 +1,14 @@
 """The boosting loop: weights, constant fit, stopping, and invariants."""
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import halves, random_costs, random_problem
-from reference_impl import round_order_scores, surrogate_loss
+from reference_impl import round_order_scores, round_order_stages, surrogate_loss
 from rebel import boost
 from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
                          fit_constant, init_weights, predict_all, train,
@@ -61,6 +63,16 @@ class TestWeights:
         assert info.value.round_index == 7
         assert "7" in str(info.value)
 
+    def test_fit_constant_infinite_offset_raises_for_round_0(self):
+        """epsilon 0 and a class no sample carries: its offset is infinite,
+        and the weights it leaves are not finite."""
+        data = Dataset.from_arrays(np.arange(8.0)[:, None], np.array([1, 2] * 4), 3)
+        with pytest.raises(NumericOverflowError) as info:
+            fit_constant(init_weights(CostMatrix.uniform(3), data), epsilon=0.0)
+        assert info.value.round_index == 0
+        with pytest.raises(NumericOverflowError, match="in round 0$"):
+            train(data, CostMatrix.uniform(3), TrainConfig(rounds=3, epsilon=0.0))
+
     def test_fit_constant_favors_cheap_majority(self, rng):
         """Mostly class 1 and 0-1 costs: the offset ranks class 1 first."""
         labels = np.array([1] * 18 + [2] * 2)
@@ -107,6 +119,40 @@ class TestTrainingInvariants:
             losses = [trace.loss_initial] + [r.loss for r in trace.rounds]
             for a, b in zip(losses, losses[1:]):
                 assert b <= a + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), k=st.integers(2, 4), n=st.integers(8, 60),
+           exponents=arrays(np.float64, 16, elements=st.floats(0.0, 6.0)),
+           rounds=st.integers(1, 40), depth=st.integers(1, 2),
+           epsilon=st.sampled_from([None, 0.0, 1e-300]),
+           warm=st.integers(1, 60))
+    # class 3 of 4 has no sample: with epsilon 0 its offset is infinite
+    @example(seed=2, k=4, n=8, exponents=np.zeros(16), rounds=1, depth=1, epsilon=0.0, warm=1)
+    def test_loss_nonincreasing_under_extreme_costs(self, seed, k, n, exponents, rounds, depth,
+                                                     epsilon, warm):
+        """Off-diagonal costs 10**e, e in [0, 6], so a matrix's costs span
+        ratios up to 1e6.  A run either stops on a weight overflow that names
+        its round, or its trace loss never rises over exponential rounds."""
+        data, _ = random_problem(seed, n=n, d=2, k=k)
+        entries = 10.0 ** exponents[:k * k].reshape(k, k)
+        np.fill_diagonal(entries, 0.0)
+        cfg = TrainConfig(rounds=rounds, tree_depth=depth, epsilon=epsilon,
+                          early_stop_on_certificate=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boost, "WARM_ROUNDS", warm)
+            try:
+                # epsilon 0 lets a pure side's vector reach inf, and nan follows
+                with np.errstate(all="ignore"):
+                    _, trace = train(data, CostMatrix.from_array(entries), cfg)
+            except NumericOverflowError as exc:
+                event("overflow")
+                assert 0 <= exc.round_index <= rounds  # round 0: the a0 fit
+                assert str(exc).endswith(f"in round {exc.round_index}")
+                return
+        event(f"{sum(r.phase == 'exp' for r in trace.rounds) // 10 * 10}+ exp rounds")
+        exp_losses = [trace.loss_initial] + [r.loss for r in trace.rounds if r.phase == "exp"]
+        for a, b in zip(exp_losses, exp_losses[1:]):
+            assert b <= a
 
     def test_trace_loss_matches_recomputed_surrogate(self):
         for seed in range(8):
@@ -313,8 +359,70 @@ def _model_and_rows(draw):
     return model_from_text(model_to_text(model)), rows
 
 
+@st.composite
+def _long_model_and_rows(draw):
+    """0-40 rounds of depth 1-3 trees, with some trees deep enough to be
+    routed, 0-300 rows, and a block size of 1-3 rounds for that row count."""
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    values = st.one_of(_VALUES, st.sampled_from([-1.7976931348623157e308, 1e300]))
+    model = StrongClassifier(k=k, d=d, a0=draw(arrays(np.float64, k, elements=_VALUES)),
+                             rounds=[], fingerprint="property")
+    depths = st.sampled_from([1, 1, 2, 3, SELECT_MAX_DEPTH + 1])
+    for depth in draw(st.lists(depths, max_size=40)):
+        size = 2 ** depth - 1
+        feats = draw(arrays(np.int64, size, elements=st.integers(0, d - 1)))
+        thresholds = draw(arrays(np.float64, size, elements=_VALUES))
+        polarities = draw(arrays(np.int64, size, elements=st.sampled_from([-1, 1])))
+        nodes = [Stump(int(f), float(t), int(p)) for f, t, p in zip(feats, thresholds, polarities)]
+        model.rounds.append((Tree(depth=depth, nodes=nodes),
+                             draw(arrays(np.float64, k, elements=values))))
+    rows = draw(arrays(np.float64, (draw(st.integers(0, 300)), d), elements=_VALUES))
+    # any remainder below one round's K * N still gives blocks of 1-3 rounds
+    per_round = k * rows.shape[0]
+    block_elems = (draw(st.integers(1, 3)) * per_round
+                   + draw(st.integers(0, max(0, per_round - 1))))
+    return model, rows, block_elems
+
+
 class TestScoringWalk:
     """`scores` and `staged_scores` against round-order summation, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_long_model_and_rows())
+    def test_blocks_of_few_rounds_match_round_order_sum(self, case):
+        """Blocks of 1-3 rounds, the last one often partial: every stage is
+        still the round-order sum of its prefix."""
+        model, rows, block_elems = case
+        # vectors of 1e300 and -max overflow the sums to inf and nan, on both sides
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(boost, "BLOCK_ELEMS", block_elems)
+            got = model.scores(rows)
+            stages = list(model.staged_scores(rows))
+            want = list(round_order_stages(model, rows))
+        assert got.tobytes() == want[-1].tobytes()
+        assert len(stages) == len(model.rounds)
+        for stage, expected in zip(stages, want[1:]):
+            assert stage.tobytes() == expected.tobytes()
+
+    def test_scoring_memory_stays_within_one_block_of_the_walk(self):
+        """Scoring `rebel predict`'s benchmark shape (10k x 20, 300 stumps,
+        K=5) peaks under the per-round walk's arrays plus one block: the
+        feature-major copy, three (K, N) arrays (running sum, one round's
+        step, the returned scores) and 64k doubles.  A larger block at this
+        size would show here before it showed in peak RSS."""
+        from conftest import random_model
+        n, d, k = 10_000, 20, 5
+        model = random_model(11, k=k, d=d, rounds=300)
+        rows = np.random.default_rng(11).normal(size=(n, d))
+        bound = 8 * (n * d + 3 * k * n) + 8 * 2 ** 16
+        tracemalloc.start()
+        try:
+            model.scores(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"scoring peaked at {peak} bytes, bound {bound}"
 
     @settings(max_examples=200, deadline=None)
     @given(case=_model_and_rows())
