@@ -80,7 +80,7 @@ class StrongClassifier:
         rounds, say) would change the low bits.
 
         The steps come a block of rounds at a time (`BLOCK_ELEMS`): one
-        gather-and-compare of the block's root stumps, one pass to +-1 and
+        gather-and-compare of the block's root stumps, exact +-1 signs and
         one multiply by the block's vectors.  A stump's polarity is folded
         into its vector, which is exact: (p*a)*s == a*(p*s) for p, s = +-1.
         A deeper tree's row of outputs comes from `Tree.plus_side`.  The
@@ -103,7 +103,7 @@ class StrongClassifier:
         threshold = np.array([root.threshold for root in roots], dtype=np.float64)[:, None]
         vectors = np.array([vector for _, vector in self.rounds], dtype=np.float64)
         vectors[[t for t, tree in enumerate(trees)
-                 if tree.depth == 1 and tree.nodes[0].polarity < 0]] *= -1.0
+                 if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
         deep = [t for t, tree in enumerate(trees) if tree.depth > 1]
 
         size = min(total, max(1, BLOCK_ELEMS // max(1, self.k * n)))
