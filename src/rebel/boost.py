@@ -43,13 +43,19 @@ TEMPERATURE = 3.0  # softmax sharpness of the smoothed risk
 GOLDEN_ITERS = 8  # golden-section steps of a smoothed-risk round's line search
 
 
-# Rounds per block of the scoring walk: max(1, BLOCK_ELEMS // (K * N)), so a
-# block's (b, K, N) steps hold about BLOCK_ELEMS doubles (512 KB).  At 64 rows
-# a block holds hundreds of rounds, and the walk makes a few NumPy calls per
-# block instead of per round; at 10k rows, K=5, it holds one.  Of 8k to 256k,
-# 64k was the fastest or within 2% of it at 64, 500 and 2000 rows (300
-# stumps, K=5, d=20, 2-vCPU Xeon).
+# Rounds per block of the scoring walk: BLOCK_ELEMS // (K * N), so a block's
+# (b, K, N) steps hold about BLOCK_ELEMS doubles (512 KB).  At 64 rows a block
+# holds hundreds of rounds, and the walk makes a few NumPy calls per block
+# instead of per round.  Of 8k to 256k, 64k was the fastest or within 2% of it
+# at 64, 500 and 2000 rows (300 stumps, K=5, d=20, 2-vCPU Xeon).
 BLOCK_ELEMS = 1 << 16
+# Fewest rounds a block must hold; with fewer (large N, or a short model) the
+# walk takes one round at a time.  Blocks of 13 rounds (1000 rows, K=5) were
+# faster than the per-round walk, blocks of 2-6 (2000-6000 rows) no faster or
+# slower, and a one-round block in 3-D slower at 10k rows.
+BLOCK_MIN_ROUNDS = 8
+
+_SIGNS = np.array([-1.0, 1.0])  # a tree's output, indexed by its +1 side as 0 or 1
 
 
 class NumericOverflowError(RuntimeError):
@@ -79,12 +85,14 @@ class StrongClassifier:
         added in order, one `np.add` each: a reordered sum (a matmul over
         rounds, say) would change the low bits.
 
-        The steps come a block of rounds at a time (`BLOCK_ELEMS`): one
-        gather-and-compare of the block's root stumps, exact +-1 signs and
-        one multiply by the block's vectors.  A stump's polarity is folded
-        into its vector, which is exact: (p*a)*s == a*(p*s) for p, s = +-1.
-        A deeper tree's row of outputs comes from `Tree.plus_side`.  The
-        model is packed on every call, so rounds appended later count.
+        When a block of `BLOCK_ELEMS` holds at least `BLOCK_MIN_ROUNDS`
+        rounds, the steps come a block at a time: one gather-and-compare of
+        the block's root stumps, exact +-1 signs and one multiply by the
+        block's vectors.  A stump's polarity is folded into its vector, which
+        is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
+        outputs comes from `Tree.plus_side`.  The model is packed on every
+        call, so rounds appended later count.  Otherwise each round's step
+        is one 2-D multiply of its vector by its +-1 outputs.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
@@ -95,8 +103,17 @@ class StrongClassifier:
         h = np.repeat(self.a0[:, None], n, axis=1)
         yield h
         total = len(self.rounds)
-        if total == 0:
+        size = min(total, BLOCK_ELEMS // max(1, self.k * n))
+        if size < BLOCK_MIN_ROUNDS:
+            step = np.empty_like(h)
+            for tree, vector in self.rounds:
+                # a bool array indexes `_SIGNS` as 0/1; positional out arguments,
+                # since at small N the cost is call overhead
+                np.multiply(vector[:, None], _SIGNS.take(tree.plus_side(by_column)), step)
+                np.add(h, step, h)
+                yield h
             return
+
         trees = [tree for tree, _ in self.rounds]
         roots = [tree.nodes[0] for tree in trees]
         feature = np.array([root.feature for root in roots], dtype=np.intp)
@@ -105,8 +122,6 @@ class StrongClassifier:
         vectors[[t for t, tree in enumerate(trees)
                  if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
         deep = [t for t, tree in enumerate(trees) if tree.depth > 1]
-
-        size = min(total, max(1, BLOCK_ELEMS // max(1, self.k * n)))
         columns = by_column.T  # (d, N), C-contiguous
         values = np.empty((size, n))
         side = np.empty((size, n), dtype=bool)
@@ -114,16 +129,13 @@ class StrongClassifier:
         for start in range(0, total, size):
             stop = min(start + size, total)
             b = stop - start
-            if b == 1:  # the feature's row as it is, without the gather's copy
-                np.greater(columns[feature[start]], threshold[start], out=side[0])
-            else:
-                columns.take(feature[start:stop], axis=0, out=values[:b])
-                np.greater(values[:b], threshold[start:stop], out=side[:b])
+            columns.take(feature[start:stop], 0, values[:b])
+            np.greater(values[:b], threshold[start:stop], side[:b])
             for t in deep[bisect_left(deep, start):bisect_left(deep, stop)]:
                 side[t - start] = trees[t].plus_side(by_column)
-            np.multiply(side[:b], 2.0, out=values[:b])
-            np.subtract(values[:b], 1.0, out=values[:b])
-            np.multiply(vectors[start:stop, :, None], values[:b, None, :], out=steps[:b])
+            np.multiply(side[:b], 2.0, values[:b])
+            np.subtract(values[:b], 1.0, values[:b])
+            np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[:b])
             for step in steps[:b]:
                 np.add(h, step, h)
                 yield h

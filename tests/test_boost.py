@@ -397,6 +397,7 @@ class TestScoringWalk:
         # vectors of 1e300 and -max overflow the sums to inf and nan, on both sides
         with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
             patch.setattr(boost, "BLOCK_ELEMS", block_elems)
+            patch.setattr(boost, "BLOCK_MIN_ROUNDS", 1)
             got = model.scores(rows)
             stages = list(model.staged_scores(rows))
             want = list(round_order_stages(model, rows))
@@ -409,8 +410,9 @@ class TestScoringWalk:
         """Scoring `rebel predict`'s benchmark shape (10k x 20, 300 stumps,
         K=5) peaks under the per-round walk's arrays plus one block: the
         feature-major copy, three (K, N) arrays (running sum, one round's
-        step, the returned scores) and 64k doubles.  A larger block at this
-        size would show here before it showed in peak RSS."""
+        step, the returned scores) and 64k doubles.  Blocks of rounds at
+        this size (BLOCK_MIN_ROUNDS of them, 3.2 MB of steps at least) would
+        show here before they showed in peak RSS."""
         from conftest import random_model
         n, d, k = 10_000, 20, 5
         model = random_model(11, k=k, d=d, rounds=300)
