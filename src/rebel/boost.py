@@ -14,6 +14,14 @@ matrices, rounds after `WARM_ROUNDS` minimize the smoothed risk instead
 (`rebel.loss.smoothed_risk`), starting from the exponential fit: each picks
 its learner by the same split search run on the smoothed risk's slopes, then
 scales that learner's vector by a line search on the smoothed risk itself.
+
+Models trained on one dataset with different cost matrices share the data,
+the threshold grid and the round count, so `train_many` steps them in
+lockstep: their weights are one (B, 2K, N) stack and their scores one
+(B, K, N) stack, and each round makes one split search, one line search and
+one pass of bookkeeping for all of them, every reduction keeping its length,
+order and layout per training so that each model is bit-equal to training it
+alone.  `train` is `train_many` of one matrix.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ import numpy as np
 from .costs import CostMatrix, dataset_terms, loss_floor
 from .loss import class_major_risk
 from .weak import (LearnerFit, SplitScores, ThresholdGrid, Tree, accumulate_split, build_grid,
-                   class_major, grow_layer, optimal_vector, stump_search)
+                   class_major, grow_layer, optimal_vector, search_stumps, stump_search)
 
 if TYPE_CHECKING:
     from .io import Dataset
@@ -41,6 +49,7 @@ FLOOR_STOP = 1e-12
 WARM_ROUNDS = 60
 TEMPERATURE = 3.0  # softmax sharpness of the smoothed risk
 GOLDEN_ITERS = 8  # golden-section steps of a smoothed-risk round's line search
+_RATIO = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
 # Rounds per block of the scoring walk: BLOCK_ELEMS // (K * N), so a block's
@@ -86,7 +95,8 @@ class StrongClassifier:
         rounds, say) would change the low bits.
 
         When a block of `BLOCK_ELEMS` holds at least `BLOCK_MIN_ROUNDS`
-        rounds, the steps come a block at a time: one gather-and-compare of
+        rounds, the steps come a block at a time, in as few blocks of equal
+        size (up to one round) as that takes: one gather-and-compare of
         the block's root stumps, exact +-1 signs and one multiply by the
         block's vectors.  A stump's polarity is folded into its vector, which
         is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
@@ -114,6 +124,10 @@ class StrongClassifier:
                 yield h
             return
 
+        # as few blocks as that size needs, sized evenly, so that no buffer
+        # holds rounds its block lacks
+        blocks = -(-total // size)
+        size = -(-total // blocks)
         trees = [tree for tree, _ in self.rounds]
         roots = [tree.nodes[0] for tree in trees]
         feature = np.array([root.feature for root in roots], dtype=np.intp)
@@ -229,36 +243,43 @@ def fit_constant(weights: np.ndarray, epsilon: float) -> np.ndarray:
 def update_weights(weights: np.ndarray, outputs: np.ndarray, vector: np.ndarray,
                    round_index: int | None = None) -> np.ndarray:
     """Multiply in the round's contribution: w+ *= exp(f a), w- *= exp(-f a), in place."""
-    k = weights.shape[0] // 2
-    with np.errstate(over="ignore"):
-        shift = vector[:, None] * outputs
-        np.exp(shift, out=shift)
-        weights[:k] *= shift
-        weights[k:] /= shift
-    peak = weights.max()
-    if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+    if _scale_weights(weights[None], (vector[:, None] * outputs)[None])[0]:
         raise NumericOverflowError(round_index)
     return weights
 
 
-def edge(scores: SplitScores, c_star_bar: float, floor: float,
-         certificate: float) -> tuple[float, float]:
-    """Achieved weak-learner edge gamma and its bound-ready deflation phi.
+def _scale_weights(weights: np.ndarray, shift: np.ndarray) -> list[bool]:
+    """`update_weights` on a stack: (B, 2K, N) weights times exp(+-shift), shift (B, K, N).
 
-    gamma = <|s+ - s-|, 1> / (<s+ + s-, 1> - c_star_bar); phi deflates it by
-    the certificate gap so that sqrt(1 - phi^2) contracts the loss excess per
-    round while the loss sits above the certificate.  Not-applicable cases
-    (zero denominators at the floor) come back as nan.
+    Overwrites shift with exp(shift).  Returns, per training, whether a
+    weight left the representable range.
     """
-    denom = float(np.sum(scores.s_plus + scores.s_minus)) - c_star_bar
-    if denom <= 0:
-        return float("nan"), float("nan")
-    gamma = float(np.sum(np.abs(scores.s_plus - scores.s_minus))) / denom
-    gap = certificate - floor + c_star_bar
-    if gap <= 0:
-        return gamma, float("nan")
-    phi = gamma * (1.0 - c_star_bar / gap)
-    return gamma, phi
+    k = shift.shape[1]
+    with np.errstate(over="ignore"):
+        np.exp(shift, out=shift)
+        weights[:, :k] *= shift
+        weights[:, k:] /= shift
+    # a nan peak fails the comparison too
+    peak = np.maximum.reduce(weights.reshape(weights.shape[0], -1), axis=1)
+    return (~(peak <= OVERFLOW_LIMIT)).tolist()
+
+
+def edge(scores: SplitScores, c_star_bar: np.ndarray,
+         shrink: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Achieved weak-learner edges gamma and their bound-ready deflations phi, per training.
+
+    gamma = <|s+ - s-|, 1> / (<s+ + s-, 1> - c_star_bar); phi = gamma * shrink
+    deflates it by the certificate gap, shrink = 1 - c_star_bar / (certificate
+    - floor + c_star_bar), so that sqrt(1 - phi^2) contracts the loss excess
+    per round while the loss sits above the certificate.  Takes (B, K) scores
+    and (B,) constants.  Not-applicable cases (zero denominators at the
+    floor, or a shrink of nan for a gap that is not positive) come back as
+    nan.
+    """
+    denom = np.add.reduce(scores.s_plus + scores.s_minus, axis=-1) - c_star_bar
+    gamma = np.divide(np.add.reduce(np.abs(scores.s_plus - scores.s_minus), axis=-1), denom,
+                      out=np.full_like(denom, np.nan), where=denom > 0)
+    return gamma, gamma * shrink
 
 
 def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
@@ -267,74 +288,159 @@ def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
 
 
 def fit_learner(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid, epsilon: float,
-                depth: int) -> LearnerFit:
+                depth: int, fit: LearnerFit | None = None) -> LearnerFit:
     """The round's learner for these weights: root stump search, then layer growth to `depth`.
 
-    The fit's learner is always a Tree; its outputs and split scores are on
-    the training features under `weights`.
+    `fit`, if given, is the root stump search's result for `weights`.  The
+    fit's learner is always a Tree; its outputs and split scores are on the
+    training features under `weights`.
     """
-    fit = stump_search(data, weights, grid, epsilon)
+    if fit is None:
+        fit = stump_search(data, weights, grid, epsilon)
     fit = fit._replace(learner=Tree.from_stump(fit.learner))
     while fit.learner.depth < depth:
         fit = grow_layer(fit.learner, fit.vector, data, weights, grid, epsilon)
     return fit
 
 
-def risk_round(data: "Dataset", h: np.ndarray, cost_rows: np.ndarray, grid: ThresholdGrid,
-               epsilon: float, depth: int) -> tuple[Tree, np.ndarray, np.ndarray, float]:
-    """One round on the smoothed risk from class-major (K, N) scores h and cost rows.
+def _surrogate_losses(weights: np.ndarray, floor: list, c_star_bar: list) -> list:
+    """The exponential surrogate of each training of a (B, 2K, N) weight stack."""
+    b, rows, n = weights.shape
+    # each half's whole-array sum over a C-ordered (N, K) copy: summed in the
+    # buffer's class-major order, the mass would differ in the last bits
+    by_sample = np.empty((b, 2, n, rows // 2))
+    np.copyto(by_sample, weights.reshape(b, 2, rows // 2, n).transpose(0, 1, 3, 2))
+    halves = np.add.reduce(by_sample.reshape(b, 2, -1), axis=2).tolist()
+    return [f + (pos + neg) / (2.0 * n) - c for f, (pos, neg), c in zip(floor, halves, c_star_bar)]
 
-    Returns the learner, its outputs on the training features, its vector
-    and the smoothed risk after the round.
 
-    The learner comes from the exponential split search (and layer growth)
-    run on the risk's slopes: a sample-class pair whose score should rise
-    weighs on the down side, one whose score should fall on the up side.
-    That search's vector has the sign of the slope summed over each side, so
-    it points downhill.  A golden-section line search then scales it within a
-    trust region: no score may move by more than 1/TEMPERATURE in a round.
-    Without that bound the smoothed risk often keeps falling as the step
-    grows, because scaling every score up turns the smoothed risk into the
-    training risk of argmax h; one such step saturates the softmax and
-    leaves no slope for later rounds.  A round that cannot lower the risk
-    comes back with a zero vector.
+def _training_errors(h: np.ndarray, cost_rows: np.ndarray, labels0: np.ndarray, rank: np.ndarray,
+                     at_sample: np.ndarray) -> tuple[list, list]:
+    """Each training's error rate and mean cost of argmax h on its training samples.
+
+    The argmax over the classes of the (B, K, N) scores, ties to the lowest
+    class, is taken as the first class that reaches the maximum: rank is the
+    (K, 1) column K, K-1, .., 1 in the smallest unsigned type that holds K.
+    `np.argmax` over a strided axis pays per (training, sample) pair; this is
+    a few whole-array passes.  It equals argmax wherever no score is nan (a
+    running training's scores are finite).  at_sample is the flat index of
+    (training, class 0, sample) in the (B, K, N) cost rows.
     """
-    k = h.shape[0]
+    b, k, n = h.shape
+    hit = np.equal(h, np.maximum.reduce(h, axis=1, keepdims=True)).view(np.uint8)
+    preds = k - np.maximum.reduce(hit * rank, axis=1).astype(np.intp)
+    wrong = np.add.reduce(preds != labels0, axis=1, dtype=np.intp) / n
+    costs_at = cost_rows.take(preds * n + at_sample, mode="clip")
+    return wrong.tolist(), (np.add.reduce(costs_at, axis=1) / n).tolist()
+
+
+def _pulls(h: np.ndarray, cost_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Smoothed-risk trainings' split-search weights, into out (B, 2K, N); returns their (B,) risks.
+
+    A sample-class pair whose score should rise weighs on the down side, one
+    whose score should fall on the up side; the search's vector then has the
+    sign of the slope summed over each side, so it points downhill.
+    """
+    k = h.shape[1]
     before, q, expected = class_major_risk(h, cost_rows, TEMPERATURE)
-    slope = q * (expected - cost_rows)
-    pull = np.empty((2 * k, h.shape[1]))
-    np.maximum(-slope, 0.0, out=pull[:k])
-    np.maximum(slope, 0.0, out=pull[k:])
-    learner, direction, _, outputs, _ = fit_learner(data, pull, grid, epsilon, depth)
-    reach = float(np.max(np.abs(direction)))
-    if reach == 0.0:
-        return learner, outputs, direction, before
+    slope = np.subtract(expected[:, None, :], cost_rows)
+    np.multiply(q, slope, out=slope)
+    np.maximum(np.negative(slope, out=q), 0.0, out=out[:, :k])
+    np.maximum(slope, 0.0, out=out[:, k:])
+    return before
 
-    move = direction[:, None] * outputs
-    moved = np.empty_like(h)
 
-    def risk(step):
-        np.multiply(move, step, out=moved)
+def _line_search(h: np.ndarray, cost_rows: np.ndarray, before: np.ndarray,
+                 direction: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, list]:
+    """Golden-section steps along each smoothed-risk training's direction, all at once.
+
+    h and cost_rows are (B, K, N), before the (B,) risks at h, direction
+    (B, K) and outputs (B, N).  Each training keeps its own bracket and takes
+    its own branch, in Python floats: kept in (B,) arrays and stepped through
+    np.where, the brackets cost about a third of a one-training risk
+    evaluation per step.  Each step is one (B, K, N) risk evaluation at every
+    training's probe.  Returns (B, K) vectors and the risks after them; a
+    training that cannot lower its risk gets a zero vector and keeps its risk.
+    """
+    move, moved = np.empty_like(h), np.empty_like(h)
+    rows = list(zip(move, moved))
+    for (row, _), vector, signs in zip(rows, direction, outputs):
+        np.multiply(vector[:, None], signs, out=row)
+
+    def risk(steps):
+        # one multiply per training: a (B, 1, 1) array broadcast over (B, K, N)
+        # takes NumPy's slow path
+        for (row, out), step in zip(rows, steps):
+            np.multiply(row, step, out=out)
         np.add(moved, h, out=moved)
-        return class_major_risk(moved, cost_rows, TEMPERATURE, out=moved)[0]
+        return class_major_risk(moved, cost_rows, TEMPERATURE, out=moved)[0].tolist()
 
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0 / (TEMPERATURE * reach)
-    left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-    v_left, v_right = risk(left), risk(right)
+    reach = np.maximum.reduce(np.abs(direction), axis=1).tolist()
+    # [lo, hi, left, right, v_left, v_right] per training; a zero direction
+    # gets a placeholder bracket, and comes back zero
+    his = [1.0 / (TEMPERATURE * r) if r > 0 else 1.0 for r in reach]
+    brackets = [[0.0, hi, hi - _RATIO * hi, _RATIO * hi] for hi in his]
+    for bracket, v_left, v_right in zip(brackets, risk([b[2] for b in brackets]),
+                                        risk([b[3] for b in brackets])):
+        bracket += v_left, v_right
     for _ in range(GOLDEN_ITERS):
-        if v_left < v_right:
-            hi, right, v_right = right, left, v_left
-            left = hi - ratio * (hi - lo)
-            v_left = risk(left)
-        else:
-            lo, left, v_left = left, right, v_right
-            right = lo + ratio * (hi - lo)
-            v_right = risk(right)
-    step, after = (left, v_left) if v_left < v_right else (right, v_right)
-    if not after < before:
-        return learner, outputs, np.zeros_like(direction), before
-    return learner, outputs, step * direction, after
+        # each training's new inner point, with its value left None
+        for bracket in brackets:
+            lo, hi, left, right, v_left, v_right = bracket
+            if v_left < v_right:  # the minimum lies below `right`
+                hi, right = right, left
+                left = hi - _RATIO * (hi - lo)
+                bracket[:] = lo, hi, left, right, None, v_left
+            else:
+                lo, left = left, right
+                right = lo + _RATIO * (hi - lo)
+                bracket[:] = lo, hi, left, right, v_right, None
+        probes = [b[2] if b[4] is None else b[3] for b in brackets]
+        for bracket, value in zip(brackets, risk(probes)):
+            bracket[4 if bracket[4] is None else 5] = value
+
+    vectors = np.zeros_like(direction)
+    risks = before.tolist()
+    for b, (_, _, left, right, v_left, v_right) in enumerate(brackets):
+        step, after = (left, v_left) if v_left < v_right else (right, v_right)
+        if reach[b] > 0 and after < risks[b]:
+            vectors[b] = step * direction[b]
+            risks[b] = after
+    return vectors, risks
+
+
+class _Lane:
+    """One training of a lockstep run: its model and trace so far and its constants.
+
+    Sets up its weights, scores and cost rows in the stack's rows it is given.
+    """
+
+    def __init__(self, index: int, data: "Dataset", costs: CostMatrix, cfg: TrainConfig,
+                 epsilon: float, flat: bool, weights: np.ndarray, h: np.ndarray,
+                 cost_rows: np.ndarray):
+        if data.k != costs.k:
+            raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
+        if flat:
+            raise ValueError("every feature is constant; nothing to split on")
+        _, _, c_star, _ = dataset_terms(costs, data.labels)
+        floor, certificate = loss_floor(costs, data.labels)
+        c_star_bar = float(c_star.mean() / 2.0)
+        gap = certificate - floor + c_star_bar
+        self.index = index
+        # (floor, c_star_bar, shrink): see `edge`
+        self.consts = (floor, c_star_bar, 1.0 - c_star_bar / gap if gap > 0 else float("nan"))
+        weights[...] = init_weights(costs, data)
+        a0 = np.zeros(costs.k)
+        if cfg.fit_a0:
+            a0 = fit_constant(weights, epsilon)
+            h += a0[:, None]  # class-major scores, zero before
+        costs.entries.T.take(data.labels - 1, axis=1, out=cost_rows)  # class-major (K, N)
+        self.refine = not costs.equal_off_diagonal()
+        loss = _surrogate_losses(weights[None], [floor], [c_star_bar])[0]
+        self.trace = TrainTrace(floor=floor, certificate=certificate, c_star_bar=c_star_bar,
+                                loss_initial=loss)
+        self.model = StrongClassifier(k=costs.k, d=data.features.shape[1], a0=a0, rounds=[],
+                                      fingerprint=_fingerprint(cfg, epsilon))
 
 
 def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongClassifier, TrainTrace]:
@@ -342,96 +448,174 @@ def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongC
 
     Rounds minimize the exponential surrogate; when some row of the cost
     matrix charges its mistakes unequally, rounds after WARM_ROUNDS minimize
-    the smoothed risk instead (`risk_round`).  The trace's loss is
-    the exponential surrogate throughout, so the certificate holds in either
-    phase; it is nonincreasing over exponential rounds, and the smoothed risk
-    is nonincreasing over smoothed-risk rounds.
+    the smoothed risk instead: the split search runs on the risk's slopes (a
+    sample-class pair whose score should rise weighs on the down side, one
+    whose score should fall on the up side), and a golden-section line
+    search scales that learner's vector within a trust region, no score
+    moving by more than 1/TEMPERATURE in a round.  Without that bound the
+    smoothed risk often keeps falling as the step grows, because scaling
+    every score up turns it into the training risk of argmax h; one such
+    step saturates the softmax and leaves no slope for later rounds.  The
+    trace's loss is the exponential surrogate throughout, so the certificate
+    holds in either phase; it is nonincreasing over exponential rounds, and
+    the smoothed risk is nonincreasing over smoothed-risk rounds.
 
     Stops at the round budget, when the loss drops below the certificate
     threshold (if enabled), when the loss excess above the floor falls under
     1e-12, or when a smoothed-risk round finds no step that lowers the risk
     ("stalled").  Deterministic for fixed inputs and config.
     """
+    return train_many(data, [costs], cfg)[0]
+
+
+def train_many(data: "Dataset", costs_list: list[CostMatrix],
+               cfg: TrainConfig) -> list[tuple[StrongClassifier, TrainTrace]]:
+    """`train` on one dataset for each cost matrix, stepped round by round in lockstep.
+
+    Returns one (model, trace) per matrix, each bit-equal to what `train`
+    alone gives.  The trainings' weights are one C-contiguous (B, 2K, N)
+    array and their scores one (B, K, N) array, so a round makes one split
+    search (`search_stumps`, on weights for exponential rounds and on the
+    smoothed risk's slopes for the others), one line search and one pass of
+    bookkeeping for all of them; layers beyond the root grow per training.
+    A training that stops leaves the stack.  If trainings raise, the rest
+    run to the end, and then the error of the lowest-index failing one is
+    raised, as training them one at a time would.
+    """
     cfg.validate()
     X = data.features
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples to train")
-    if data.k != costs.k:
-        raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
-    if all(X[:, j].min() == X[:, j].max() for j in range(X.shape[1])):
-        raise ValueError("every feature is constant; nothing to split on")
+    flat = all(X[:, j].min() == X[:, j].max() for j in range(X.shape[1]))
+    epsilon = cfg.epsilon if cfg.epsilon is not None else 1.0 / (2.0 * n * data.k)
 
-    epsilon = cfg.epsilon if cfg.epsilon is not None else 1.0 / (2.0 * n * costs.k)
-    _, _, c_star, _ = dataset_terms(costs, data.labels)
-    c_star_bar = float(c_star.mean() / 2.0)
-    floor, certificate = loss_floor(costs, data.labels)
-
-    weights = init_weights(costs, data)
-    h = np.zeros((costs.k, n))  # class-major scores
-    a0 = np.zeros(costs.k)
-    if cfg.fit_a0:
-        a0 = fit_constant(weights, epsilon)
-        h += a0[:, None]
-
-    def current_loss() -> float:
-        # whole-array sums of C-ordered (N, K) copies: summed in the buffer's
-        # class-major order, the mass would differ in the last bits
-        mass = (np.ascontiguousarray(weights[:costs.k].T).sum()
-                + np.ascontiguousarray(weights[costs.k:].T).sum()) / (2.0 * n)
-        return float(floor + mass - c_star_bar)
-
-    grid = build_grid(X, cfg.n_tau)
-    trace = TrainTrace(floor=floor, certificate=certificate, c_star_bar=c_star_bar,
-                       loss_initial=current_loss())
-    model = StrongClassifier(k=costs.k, d=X.shape[1], a0=a0, rounds=[],
-                             fingerprint=_fingerprint(cfg, epsilon))
-
-    if cfg.early_stop_on_certificate and trace.loss_initial < certificate:
-        trace.stopped = "certificate"
-        return model, trace
-
-    labels0 = data.labels - 1
-    cost_rows = costs.entries.T.take(labels0, axis=1)  # class-major (K, N)
-    refine = not costs.equal_off_diagonal()
-    for t in range(1, cfg.rounds + 1):
-        phase = "risk" if refine and t > WARM_ROUNDS else "exp"
-        risk_after = float("nan")
-        if phase == "risk":
-            learner, outputs, vector, risk_after = risk_round(data, h, cost_rows, grid, epsilon,
-                                                              cfg.tree_depth)
-            if not np.any(vector):
-                trace.stopped = "stalled"
-                break
-            # a smoothed-risk round's vector is not the surrogate's optimum,
-            # so it claims no edge
-            gamma = phi = float("nan")
+    # the stack's rows in lane order: trainings with a smoothed-risk phase
+    # last, so that those in it are the stack's tail
+    order = sorted(range(len(costs_list)), key=lambda i: not costs_list[i].equal_off_diagonal())
+    weights = np.empty((len(order), 2 * data.k, n))
+    h = np.zeros((len(order), data.k, n))
+    cost_rows = np.empty((len(order), data.k, n))
+    results = [None] * len(costs_list)
+    errors = {}
+    lanes = []
+    for row, index in enumerate(order):
+        try:
+            lane = _Lane(index, data, costs_list[index], cfg, epsilon, flat,
+                         weights[row], h[row], cost_rows[row])
+        except Exception as exc:  # noqa: BLE001 - raised for this training, after the rest
+            errors[index] = exc
+            continue
+        results[index] = (lane.model, lane.trace)
+        if cfg.early_stop_on_certificate and lane.trace.loss_initial < lane.trace.certificate:
+            lane.trace.stopped = "certificate"
         else:
-            learner, vector, _, outputs, scores = fit_learner(data, weights, grid, epsilon,
-                                                              cfg.tree_depth)
-            gamma, phi = edge(scores, c_star_bar, floor, certificate)
-        model.rounds.append((learner, vector))
-        h += vector[:, None] * outputs
-        update_weights(weights, outputs, vector, round_index=t)
+            lanes.append((row, lane))
 
-        loss = current_loss()
-        preds = np.argmax(h, axis=0)
-        root = learner.nodes[0]
-        trace.rounds.append(RoundRecord(
-            index=t, loss=loss, excess=loss - floor, gamma=gamma, phi=phi,
-            depth=learner.depth, feature=root.feature, threshold=root.threshold,
-            train_error=float(np.mean(preds != labels0)),
-            train_risk=float(np.mean(costs.entries[labels0, preds])),
-            phase=phase, smoothed_risk=risk_after,
-        ))
-        if loss - floor <= FLOOR_STOP:
-            trace.stopped = "floor"
-            break
-        if cfg.early_stop_on_certificate and loss < certificate:
-            trace.stopped = "certificate"
-            break
+    if lanes:
+        rows = [row for row, _ in lanes]
+        if len(rows) < len(order):
+            weights, h, cost_rows = weights[rows], h[rows], cost_rows[rows]
+        _run_lanes([lane for _, lane in lanes], weights, h, cost_rows, data, cfg, epsilon, errors)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
-    return model, trace
+
+def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows: np.ndarray,
+               data: "Dataset", cfg: TrainConfig, epsilon: float, errors: dict) -> None:
+    """The rounds of `train_many` on the lanes' stacked rows; a training that raises leaves its
+    error in `errors`."""
+    grid = build_grid(data.features, cfg.n_tau)
+    labels0 = data.labels - 1
+    k = data.k
+    n = data.features.shape[0]
+    consts = np.array([lane.consts for lane in lanes])  # (floor, c_star_bar, shrink)
+    floor, c_star_bar = consts[:, 0].tolist(), consts[:, 1].tolist()
+    # flat index of (training, class 0, sample) in the (B, K, N) cost rows
+    at_sample = np.arange(len(lanes))[:, None] * (k * n) + np.arange(n)
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]  # see `_training_errors`
+
+    for t in range(1, cfg.rounds + 1):
+        count = len(lanes)
+        split = count if t <= WARM_ROUNDS else sum(not lane.refine for lane in lanes)
+        search = weights
+        if split < count:
+            search = np.empty_like(weights)
+            search[:split] = weights[:split]
+            before = _pulls(h[split:], cost_rows[split:], search[split:])
+        fit = search_stumps(search, grid, epsilon)
+        trees = [Tree.from_stump(stump) for stump in fit.learner]
+        vectors, outputs, scores = fit.vector, fit.outputs, fit.scores
+        failed = {}
+        if cfg.tree_depth > 1:
+            for b in range(count):
+                try:
+                    grown = fit_learner(data, search[b], grid, epsilon, cfg.tree_depth, fit.pick(b))
+                except Exception as exc:  # noqa: BLE001 - raised for this training, after the rest
+                    failed[b] = exc
+                    vectors[b] = 0.0
+                    continue
+                trees[b] = grown.learner
+                vectors[b], outputs[b] = grown.vector, grown.outputs
+                scores.s_plus[b], scores.s_minus[b] = grown.scores.s_plus, grown.scores.s_minus
+        del search
+
+        # a smoothed-risk round's vector is not the surrogate's optimum, so it
+        # claims no edge
+        gamma = phi = after = stalled = []
+        if split:
+            gamma, phi = (x.tolist() for x in edge(
+                SplitScores(scores.s_plus[:split], scores.s_minus[:split]),
+                consts[:split, 1], consts[:split, 2]))
+        if split < count:
+            vectors[split:], after = _line_search(
+                h[split:], cost_rows[split:], before, vectors[split:], outputs[split:])
+            stalled = (~np.any(vectors[split:], axis=1)).tolist()
+        none = [np.nan] * (count - split)
+        gamma, phi = gamma + none, phi + none
+        after, stalled = [np.nan] * split + after, [False] * split + stalled
+
+        shift = vectors[:, :, None] * outputs[:, None, :]
+        h += shift
+        overflow = _scale_weights(weights, shift)
+        del shift  # before the next round's search
+        losses = _surrogate_losses(weights, floor, c_star_bar)
+        wrong, risks = _training_errors(h, cost_rows, labels0, rank, at_sample)
+
+        alive = [True] * count
+        for b, lane in enumerate(lanes):
+            trace, tree, loss = lane.trace, trees[b], losses[b]
+            if b in failed:
+                errors[lane.index] = failed[b]
+            elif stalled[b]:
+                trace.stopped = "stalled"
+            elif overflow[b]:
+                errors[lane.index] = NumericOverflowError(t)
+            else:
+                lane.model.rounds.append((tree, vectors[b]))
+                root = tree.nodes[0]
+                trace.rounds.append(RoundRecord(
+                    index=t, loss=loss, excess=loss - trace.floor, gamma=gamma[b], phi=phi[b],
+                    depth=tree.depth, feature=root.feature, threshold=root.threshold,
+                    train_error=wrong[b], train_risk=risks[b], phase="exp" if b < split else "risk",
+                    smoothed_risk=after[b],
+                ))
+                if loss - trace.floor <= FLOOR_STOP:
+                    trace.stopped = "floor"
+                elif cfg.early_stop_on_certificate and loss < trace.certificate:
+                    trace.stopped = "certificate"
+                else:
+                    continue
+            alive[b] = False
+        if not all(alive):
+            lanes = [lane for lane, keep in zip(lanes, alive) if keep]
+            if not lanes:
+                return
+            keep = np.array(alive)
+            weights, h, cost_rows, consts = weights[keep], h[keep], cost_rows[keep], consts[keep]
+            floor, c_star_bar = consts[:, 0].tolist(), consts[:, 1].tolist()
+            at_sample = at_sample[:len(lanes)]
 
 
 def predict_all(model: StrongClassifier, features: np.ndarray) -> np.ndarray:

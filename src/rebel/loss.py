@@ -24,24 +24,25 @@ def smoothed_risk(h: np.ndarray, cost_rows: np.ndarray,
     """
     value, q, expected = class_major_risk(np.ascontiguousarray(h.T),
                                           np.ascontiguousarray(cost_rows.T), temperature)
-    return value, q.T, expected
+    return float(value), q.T, expected
 
 
 def class_major_risk(h: np.ndarray, cost_rows: np.ndarray, temperature: float,
-                     out: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`smoothed_risk` on class-major (K, N) scores and cost rows; q comes back (K, N).
 
-    Each reduction over the classes adds K contiguous rows.  `out`, if
-    given, is the (K, N) buffer that becomes q; it may be h itself.  The
-    line search calls this ten times a round, so it calls the ufuncs
-    directly: the mean is np.mean's own sum divided by the count.
+    Also takes a stack of trainings, (B, K, N), for (B,) values.  Each
+    reduction over the classes adds K contiguous rows of one training.
+    `out`, if given, is the buffer of h's shape that becomes q; it may be h
+    itself.  The line search calls this ten times a round, so it calls the
+    ufuncs directly: the mean is np.mean's own sum divided by the count.
     """
     z = np.multiply(h, temperature, out=out)
-    z -= np.maximum.reduce(z, axis=0)
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
     q = np.exp(z, out=z)
-    q /= np.add.reduce(q, axis=0)
-    expected = np.add.reduce(cost_rows * q, axis=0)
-    return float(np.add.reduce(expected) / expected.shape[0]), q, expected
+    q /= np.add.reduce(q, axis=-2, keepdims=True)
+    expected = np.add.reduce(cost_rows * q, axis=-2)
+    return np.add.reduce(expected, axis=-1) / expected.shape[-1], q, expected
 
 
 def empirical_risk(predictions: np.ndarray, labels: np.ndarray, costs: CostMatrix) -> float:

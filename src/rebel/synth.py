@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import posterior_all, two_step_predict_all
-from .boost import TrainConfig, predict_all, train
+from .boost import TrainConfig, predict_all, train_many
 from .costs import CostMatrix, normalize_random_unit
 from .io import Dataset
 from .loss import empirical_risk
@@ -131,14 +131,14 @@ def _comparison_dataset_block(job) -> list[dict]:
     spec = random_mixture_spec(seed=int(dataset_seed))
     train_data, test_data = gen_dataset(spec)
     cfg = TrainConfig(rounds=rounds, tree_depth=depth, fit_a0=fit_a0)
-
-    neutral, _ = train(train_data, CostMatrix.uniform(spec.k), cfg)
+    matrices = [gen_cost_matrix(spec.k, int(cost_seeds[j]), labels=train_data.labels)
+                for j in range(n_matrices)]
+    # the cost-blind model and every matrix's model, trained in lockstep
+    (neutral, _), *trained = train_many(train_data, [CostMatrix.uniform(spec.k)] + matrices, cfg)
     posteriors = posterior_all(neutral, test_data.features)
 
     out = []
-    for j in range(n_matrices):
-        costs = gen_cost_matrix(spec.k, int(cost_seeds[j]), labels=train_data.labels)
-        model, _ = train(train_data, costs, cfg)
+    for j, (costs, (model, _)) in enumerate(zip(matrices, trained)):
         rebel_risk = empirical_risk(predict_all(model, test_data.features),
                                     test_data.labels, costs)
         twostep_risk = empirical_risk(two_step_predict_all(posteriors, costs),

@@ -13,10 +13,12 @@ In scoring, `Stump.plus_side` holds the same test on the features.
 
 The round's weights are one C-contiguous class-major (2K, N) array (see
 `class_major`): row k holds class k's positive weights, row K + k its
-negative weights, so each is one contiguous row.  Every per-class sum over
-samples (histogram buckets, the two sides of a split, a layer's cuts) is
-taken by `cut_sums`: one `np.bincount` per row, which adds in sample order
-exactly as a reduction over the samples of an (N, K) array does.
+negative weights, so each is one contiguous row; trainings stepped together
+stack theirs, (B, 2K, N), and `search_stumps` searches them all at once.
+Every per-class sum over samples (histogram buckets, the two sides of a
+split, a layer's cuts) is taken by `cut_sums`: one `np.bincount` over all
+rows, which adds each group in sample order exactly as a reduction over the
+samples of an (N, K) array does.
 """
 from __future__ import annotations
 
@@ -136,13 +138,22 @@ class SplitScores:
 
 class LearnerFit(NamedTuple):
     """A split search's pick: the learner, its fitted vector and unsmoothed
-    criterion, and its +-1 outputs and split scores on the training data."""
+    criterion, and its +-1 outputs and split scores on the training data.
+
+    `search_stumps` returns the picks of a stack of trainings in one: a list
+    of learners and each array field stacked along a leading axis.
+    """
 
     learner: Stump | Tree
     vector: np.ndarray
     criterion: float
     outputs: np.ndarray
     scores: SplitScores
+
+    def pick(self, b: int) -> "LearnerFit":
+        """Training b's fit out of a stacked one."""
+        return LearnerFit(self.learner[b], self.vector[b], float(self.criterion[b]),
+                          self.outputs[b], SplitScores(self.scores.s_plus[b], self.scores.s_minus[b]))
 
 
 def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
@@ -172,17 +183,23 @@ def class_major(w_plus: np.ndarray, w_minus: np.ndarray) -> np.ndarray:
     return np.concatenate((w_plus.T, w_minus.T), out=np.empty((2 * k, n)))
 
 
-def cut_sums(group: np.ndarray, rows: np.ndarray, groups: int) -> np.ndarray:
-    """(C, groups) sums of C weight rows, each contiguous, by a sample -> group index.
+def cut_sums(group: np.ndarray, rows: np.ndarray, groups: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(..., groups) sums of weight rows (..., N) by a sample -> group index.
 
-    One `np.bincount` per row: each group's sum adds its samples in sample
-    order, as a reduction over axis 0 of an (N, C) array does, so the sums
-    are bit-equal to masking and summing that array.
+    `group` broadcasts against `rows`: one index for every row, or one per
+    row or per stack of rows.  One `np.bincount` over the index
+    `row * groups + group` of all rows: each group's sum adds its samples in
+    sample order, as a reduction over axis 0 of an (N, C) array does, so the
+    sums are bit-equal to masking and summing that array.  `out`, if given,
+    is an intp buffer of `rows`' shape that holds the index.
     """
-    out = np.empty((rows.shape[0], groups))
-    for c, row in enumerate(rows):
-        out[c] = np.bincount(group, weights=row, minlength=groups)
-    return out
+    lead = rows.shape[:-1]
+    count = rows.size // rows.shape[-1]
+    offsets = np.arange(0, count * groups, groups).reshape(lead + (1,))
+    index = np.add(group, offsets, out=out)
+    sums = np.bincount(index.reshape(-1), weights=rows.reshape(-1), minlength=count * groups)
+    return sums.reshape(lead + (groups,))
 
 
 def accumulate_split(outputs: np.ndarray, weights: np.ndarray) -> SplitScores:
@@ -190,14 +207,15 @@ def accumulate_split(outputs: np.ndarray, weights: np.ndarray) -> SplitScores:
 
     Samples the learner sends to +1 contribute w_plus to s_plus and w_minus
     to s_minus; samples sent to -1 contribute the swapped pair.  Normalized
-    by 1/(2N).
+    by 1/(2N).  Takes one learner's (N,) outputs and (2K, N) weights, or a
+    stack of them, (B, N) and (B, 2K, N), for (B, K) scores.
     """
-    k = weights.shape[0] // 2
-    n = outputs.shape[0]
-    # column 0: the -1 side, 1: the +1 side; the index is cast once, not per row
-    sides = cut_sums((outputs > 0).astype(np.intp), weights, 2)
-    s_plus = (sides[:k, 1] + sides[k:, 0]) / (2.0 * n)
-    s_minus = (sides[k:, 1] + sides[:k, 0]) / (2.0 * n)
+    k = weights.shape[-2] // 2
+    n = outputs.shape[-1]
+    # column 0: the -1 side, 1: the +1 side
+    sides = cut_sums((outputs > 0)[..., None, :], weights, 2)
+    s_plus = (sides[..., :k, 1] + sides[..., k:, 0]) / (2.0 * n)
+    s_minus = (sides[..., k:, 1] + sides[..., :k, 0]) / (2.0 * n)
     return SplitScores(s_plus=s_plus, s_minus=s_minus)
 
 
@@ -208,15 +226,16 @@ def optimal_vector(scores: SplitScores, epsilon: float) -> tuple[np.ndarray, flo
     The criterion 2 <sqrt(s_plus * s_minus), 1> is reported unsmoothed; adding
     the problem's loss floor and subtracting the mean per-sample balance
     constant turns it into the surrogate loss this learner would reach with
-    the exact (unsmoothed) vector.
+    the exact (unsmoothed) vector.  Scores stacked (B, K) give (B, K) vectors
+    and (B,) criteria.
     """
     sp = scores.s_plus + epsilon
     sm = scores.s_minus + epsilon
     with np.errstate(divide="ignore", invalid="ignore"):
         a = 0.5 * (np.log(sm) - np.log(sp))
     a = np.where(np.isnan(a), 0.0, a)  # only hits 0/0 when epsilon = 0
-    criterion = float(2.0 * np.sum(np.sqrt(scores.s_plus * scores.s_minus)))
-    return a, criterion
+    criterion = 2.0 * np.add.reduce(np.sqrt(scores.s_plus * scores.s_minus), axis=-1)
+    return a, (criterion if criterion.ndim else float(criterion))
 
 
 def split_value(scores: SplitScores, vector: np.ndarray) -> float:
@@ -256,41 +275,63 @@ def stump_search(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid,
     stump with its smoothed vector, unsmoothed criterion, outputs and split
     scores.
     """
-    n = data.features.shape[0]
-    k = weights.shape[0] // 2
+    return search_stumps(weights[None], grid, epsilon).pick(0)
+
+
+def search_stumps(weights: np.ndarray, grid: ThresholdGrid, epsilon: float) -> LearnerFit:
+    """`stump_search` for each of a stack of C-contiguous (2K, N) weight arrays, (B, 2K, N).
+
+    Each feature's histogram for all B * 2K rows comes from one `cut_sums`
+    call; the selection runs per training, each on its own slack.  Every
+    reduction keeps its length, order and layout per training, so training
+    b's pick is bit-equal to `stump_search` on weights[b].  Returns a stacked
+    LearnerFit (see `LearnerFit.pick`).
+    """
+    b, _, n = weights.shape
     norm = 1.0 / (2.0 * n)
-    mass = weights.sum() * norm  # sets the tie slack only
+    mass = np.add.reduce(weights.reshape(b, -1), axis=1) * norm  # sets the tie slack only
 
-    rows = []
-    lowest = np.inf
-    for j, thr in enumerate(grid.thresholds):
-        m = thr.shape[0]
-        hist = cut_sums(grid.buckets[j], weights, m + 1)
-        below = np.cumsum(hist, axis=1)[:, :m]  # mass on the -1 side of each cut
-        # suffix sums, not total-minus-prefix: a side with no true mass must
-        # score an exact zero or sqrt amplifies the cancellation residue past
-        # the tie slack
-        above = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        s_plus = (above[:k] + below[k:]) * norm
-        s_minus = (above[k:] + below[:k]) * norm
-        # the class sum runs over the rows of a C-ordered (m, K) array: the
-        # order of a sum over classes depends on the layout from K = 8 on
-        prod = np.multiply(s_plus.T, s_minus.T, out=np.empty((m, k)))
-        crit = 2.0 * np.sum(np.sqrt(prod, out=prod), axis=1)
-        rows.append(crit)
-        lowest = min(lowest, float(crit.min()))
+    index = np.empty(weights.shape, dtype=np.intp)  # every feature's histogram index
+    crits = [_criteria(cut_sums(grid.buckets[j], weights, thr.shape[0] + 1, out=index), norm)
+             for j, thr in enumerate(grid.thresholds)]
+    del index
 
-    limit = lowest + SELECTION_SLACK * mass
-    for j, crit in enumerate(rows):
-        if crit.min() <= limit:
-            i = first_within_slack(crit, limit)
-            break
-
-    stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=1)
-    outputs = np.where(grid.buckets[j] > i, 1, -1)  # x > tau_i exactly when bin > i
+    # per training, the lowest criterion of any feature, a nan feature skipped
+    best = np.array([np.minimum.reduce(crit, axis=1) for crit in crits])
+    limit = np.fmin.reduce(best, axis=0, initial=np.inf) + SELECTION_SLACK * mass
+    stumps = []
+    plus = np.empty((b, n), dtype=bool)
+    for t, j in enumerate((best <= limit).argmax(axis=0).tolist()):
+        i = first_within_slack(crits[j][t], limit[t])
+        stumps.append(Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=1))
+        np.greater(grid.buckets[j], i, out=plus[t])  # x > tau_i exactly when bin > i
+    outputs = np.where(plus, 1, -1)
     scores = accumulate_split(outputs, weights)
     vector, criterion = optimal_vector(scores, epsilon)
-    return LearnerFit(stump, vector, criterion, outputs, scores)
+    return LearnerFit(stumps, vector, criterion, outputs, scores)
+
+
+def _criteria(hist: np.ndarray, norm: float) -> np.ndarray:
+    """(B, m) unsmoothed criteria of a feature's m cuts from its (B, 2K, m + 1) histograms.
+
+    Works in place in `hist`: at a grid's size the stacked histograms are the
+    search's largest temporaries.
+    """
+    b, rows, bins = hist.shape
+    k, m = rows // 2, bins - 1
+    # suffix sums, not total-minus-prefix: a side with no true mass must score
+    # an exact zero or sqrt amplifies the cancellation residue past the tie slack
+    above = np.add.accumulate(hist[..., ::-1], axis=2)[..., ::-1][..., 1:]
+    below = np.add.accumulate(hist, axis=2, out=hist)[..., :m]  # mass on the -1 side of each cut
+    s_plus = np.add(above[:, :k], below[:, k:], out=above[:, :k])
+    s_plus *= norm
+    s_minus = np.add(above[:, k:], below[:, :k], out=below[:, :k])
+    s_minus *= norm
+    # the class sum runs over the rows of a C-ordered (m, K) array: the order
+    # of a sum over classes depends on the layout from K = 8 on
+    prod = np.multiply(s_plus.transpose(0, 2, 1), s_minus.transpose(0, 2, 1),
+                       out=np.empty((b, m, k)))
+    return 2.0 * np.add.reduce(np.sqrt(prod, out=prod), axis=2)
 
 
 def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: np.ndarray,

@@ -11,7 +11,7 @@ from conftest import halves, random_costs, random_problem
 from reference_impl import round_order_scores, round_order_stages, surrogate_loss
 from rebel import boost
 from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
-                         fit_constant, init_weights, predict_all, train,
+                         fit_constant, init_weights, predict_all, train, train_many,
                          update_weights)
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.io import Dataset, model_from_text, model_to_text
@@ -310,6 +310,75 @@ class TestSmoothedRiskPhase:
         assert all(r.phase == "exp" for r in trace.rounds)
 
 
+@st.composite
+def _lockstep_case(draw):
+    """A dataset (K 2-5, N 2-300, 1-3 features with ties and constant columns,
+    sometimes a class no sample carries) and 1-5 cost matrices, each with
+    equal off-diagonal rows (exponential rounds only) or costs 10**e, e in
+    [0, 6] (a smoothed-risk phase after WARM_ROUNDS)."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    carried = draw(st.integers(1, k))  # classes 1..carried appear
+    labels = rng.integers(1, carried + 1, size=n)
+    features = rng.normal(size=(n, d)) + labels[:, None]
+    features = np.round(features, draw(st.integers(0, 3)))
+    if d > 1 and draw(st.booleans()):
+        features[:, draw(st.integers(0, d - 1))] = 0.5
+    matrices = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            entries = np.ones((k, k)) * 10.0 ** rng.uniform(0, 6, size=(k, 1))
+        else:
+            entries = 10.0 ** draw(arrays(np.float64, (k, k), elements=st.floats(0.0, 6.0)))
+        np.fill_diagonal(entries, 0.0)
+        matrices.append(CostMatrix.from_array(entries))
+    cfg = TrainConfig(rounds=draw(st.integers(1, 30)), tree_depth=draw(st.integers(1, 3)),
+                      n_tau=draw(st.sampled_from([1, 3, 20])),
+                      epsilon=draw(st.sampled_from([None, 0.0, 1e-300])),
+                      early_stop_on_certificate=draw(st.booleans()))
+    return Dataset.from_arrays(features, labels, k), matrices, cfg, draw(st.integers(1, 60))
+
+
+def _outcome(run):
+    """(model texts and trace reprs) of a run, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            results = run()
+    except Exception as exc:  # noqa: BLE001 - the comparison is over any error
+        return type(exc), str(exc)
+    return [(model_to_text(model), repr(trace)) for model, trace in results]
+
+
+class TestLockstep:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_lockstep_case())
+    def test_lockstep_equals_one_at_a_time(self, case):
+        """`train_many` over a list equals training each matrix alone, byte
+        for byte, and raises what the first failing training alone raises."""
+        data, matrices, cfg, warm = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boost, "WARM_ROUNDS", warm)
+            together = _outcome(lambda: train_many(data, matrices, cfg))
+            alone = _outcome(lambda: [train_many(data, [c], cfg)[0] for c in matrices])
+        if isinstance(together, tuple):
+            event(f"raises {together[0].__name__}")
+        else:
+            for _, trace in together:
+                event("a training stopped " + trace.split("stopped='")[1].split("'")[0])
+        assert together == alone
+
+    def test_error_of_the_first_failing_training_is_raised(self):
+        """A mismatched matrix fails at set-up; the trainings after it still
+        run, and its error is the one raised."""
+        data, costs = random_problem(4, n=40, d=2, k=3)
+        with pytest.raises(ValueError, match="dataset has 3 classes, cost matrix 4"):
+            train_many(data, [costs, CostMatrix.uniform(4), costs], TrainConfig(rounds=3))
+        assert train_many(data, [], TrainConfig(rounds=3)) == []
+
+
 class TestPredict:
     def test_tie_goes_to_lowest_index(self):
         model = StrongClassifier(k=3, d=2, a0=np.array([0.5, 0.5, 0.0]),
@@ -425,6 +494,29 @@ class TestScoringWalk:
         finally:
             tracemalloc.stop()
         assert peak < bound, f"scoring peaked at {peak} bytes, bound {bound}"
+
+    def test_blocks_are_balanced_to_the_model(self):
+        """`predict_all` on the grid's test rows (500 rows, 100 stumps, K=4):
+        a 64k-double block would hold 32 rounds, so the walk takes 4 blocks
+        of 25, and its buffers (a (25, K, N) step block, (25, N) values and
+        (25, N) sides) hold no round a block lacks.  The bound adds the
+        feature-major copy, three (K, N) arrays and 128 KB for NumPy's casting
+        buffers and the packed model; 32-round buffers would exceed it by
+        about 120 KB."""
+        from conftest import random_model
+        n, d, k = 500, 2, 4
+        model = random_model(5, k=k, d=d, rounds=100)
+        rows = np.random.default_rng(5).normal(size=(n, d))
+        bound = 8 * (n * d + 3 * k * n) + 25 * n * (8 * k + 9) + 2 ** 17
+        tracemalloc.start()
+        try:
+            got = predict_all(model, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"scoring peaked at {peak} bytes, bound {bound}"
+        want = np.argmax(round_order_scores(model, rows), axis=1) + 1
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(case=_model_and_rows())

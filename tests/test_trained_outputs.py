@@ -4,7 +4,9 @@ Two seeded runs are retrained and compared as text:
 
 - a criterion-4-protocol block: one comparison dataset (seed 0's first
   dataset seed) trained with uniform costs and with each of 4 normalized
-  half-normal cost matrices, 100 stump rounds, a0 fitted;
+  half-normal cost matrices, 100 stump rounds, a0 fitted; retrained one
+  matrix at a time and, as `run_comparison` trains it, in one `train_many`
+  call;
 - a depth-3, K=5, 70-round run on a problem with a constant feature and
   unequal cost rows, so that it passes WARM_ROUNDS into the smoothed-risk
   phase.
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rebel.boost import WARM_ROUNDS, TrainConfig, train
+from rebel.boost import WARM_ROUNDS, TrainConfig, train, train_many
 from rebel.costs import CostMatrix
 from rebel.io import Dataset, model_to_text, write_trace
 from rebel.synth import gen_cost_matrix, gen_dataset, random_mixture_spec
@@ -80,6 +82,26 @@ def test_retrained_outputs_match_the_record(runs, name, tmp_path):
     write_trace(trace, tmp_path / "trace.csv")
     assert model_to_text(model) == (DATA / f"{name}.model").read_text(encoding="utf-8")
     assert (tmp_path / "trace.csv").read_bytes() == (DATA / f"{name}.trace.csv").read_bytes()
+
+
+def test_lockstep_block_matches_the_record(tmp_path):
+    """The grid block trained as run_comparison trains it, in one
+    `train_many` call, gives the same files as training each matrix alone."""
+    rng = np.random.default_rng(0)
+    dataset_seed = int(rng.integers(1, 2 ** 31, size=1)[0])
+    cost_seeds = rng.integers(1, 2 ** 31, size=4)
+    spec = random_mixture_spec(seed=dataset_seed)
+    train_data, _ = gen_dataset(spec)
+    matrices = [CostMatrix.uniform(spec.k)] + [
+        gen_cost_matrix(spec.k, int(seed), labels=train_data.labels) for seed in cost_seeds]
+    names = ["grid_uniform"] + [f"grid_costs{j}" for j in range(4)]
+    results = train_many(train_data, matrices, TrainConfig(rounds=100, tree_depth=1, fit_a0=True))
+    assert len(results) == len(names)
+    for name, (model, trace) in zip(names, results):
+        write_trace(trace, tmp_path / f"{name}.trace.csv")
+        assert model_to_text(model) == (DATA / f"{name}.model").read_text(encoding="utf-8")
+        assert ((tmp_path / f"{name}.trace.csv").read_bytes()
+                == (DATA / f"{name}.trace.csv").read_bytes())
 
 
 if __name__ == "__main__":
