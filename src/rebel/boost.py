@@ -306,12 +306,15 @@ def fit_learner(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid, epsil
 def _surrogate_losses(weights: np.ndarray, floor: list, c_star_bar: list) -> list:
     """The exponential surrogate of each training of a (B, 2K, N) weight stack."""
     b, rows, n = weights.shape
+    k = rows // 2
     # each half's whole-array sum over a C-ordered (N, K) copy: summed in the
     # buffer's class-major order, the mass would differ in the last bits
-    by_sample = np.empty((b, 2, n, rows // 2))
-    np.copyto(by_sample, weights.reshape(b, 2, rows // 2, n).transpose(0, 1, 3, 2))
-    halves = np.add.reduce(by_sample.reshape(b, 2, -1), axis=2).tolist()
-    return [f + (pos + neg) / (2.0 * n) - c for f, (pos, neg), c in zip(floor, halves, c_star_bar)]
+    by_sample = np.empty((b, n, k))
+    np.copyto(by_sample, weights[:, :k].transpose(0, 2, 1))
+    mass = np.add.reduce(by_sample.reshape(b, -1), axis=1)
+    np.copyto(by_sample, weights[:, k:].transpose(0, 2, 1))
+    mass += np.add.reduce(by_sample.reshape(b, -1), axis=1)
+    return [f + m / (2.0 * n) - c for f, m, c in zip(floor, mass.tolist(), c_star_bar)]
 
 
 def _training_errors(h: np.ndarray, cost_rows: np.ndarray, labels0: np.ndarray, rank: np.ndarray,
@@ -422,14 +425,14 @@ class _Lane:
             raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
         if flat:
             raise ValueError("every feature is constant; nothing to split on")
-        _, _, c_star, _ = dataset_terms(costs, data.labels)
+        c_plus, c_minus, c_star, _ = dataset_terms(costs, data.labels)
         floor, certificate = loss_floor(costs, data.labels)
         c_star_bar = float(c_star.mean() / 2.0)
         gap = certificate - floor + c_star_bar
         self.index = index
         # (floor, c_star_bar, shrink): see `edge`
         self.consts = (floor, c_star_bar, 1.0 - c_star_bar / gap if gap > 0 else float("nan"))
-        weights[...] = init_weights(costs, data)
+        class_major(c_plus, c_minus, out=weights)  # as `init_weights`
         a0 = np.zeros(costs.k)
         if cfg.fit_a0:
             a0 = fit_constant(weights, epsilon)

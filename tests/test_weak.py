@@ -258,6 +258,24 @@ class TestSearchBitEquality:
         np.testing.assert_array_equal(got, [[(1.0 + 3.0), (1e16 + -1e16), 0.0],
                                             [2.5, 0.25, 0.0]])
 
+    @pytest.mark.parametrize("one_call_max", [0, 10 ** 9])
+    @pytest.mark.parametrize("per_stack", [False, True])
+    def test_cut_sums_of_a_stack_equal_one_bincount_per_row(self, monkeypatch, one_call_max,
+                                                             per_stack):
+        """Both ways of summing (one bincount over all rows, or one per row),
+        for a (B, R, N) stack and a group shared by every row or one per
+        stack, give each row's own bincount, bit for bit."""
+        import rebel.weak
+        monkeypatch.setattr(rebel.weak, "ONE_CALL_MAX_SAMPLES", one_call_max)
+        rng = np.random.default_rng(8)
+        rows = rng.exponential(size=(3, 4, 500)) * 10.0 ** rng.uniform(-8, 8, size=(3, 4, 500))
+        group = rng.integers(0, 7, size=(3, 1, 500) if per_stack else 500)
+        got = cut_sums(group, rows, 7)
+        flat_group = np.broadcast_to(group, rows.shape)
+        for b, r in np.ndindex(3, 4):
+            want = np.bincount(flat_group[b, r], weights=rows[b, r], minlength=7)
+            assert got[b, r].tobytes() == want.tobytes()
+
 
 class TestClassMajor:
     def test_rows_hold_each_class_and_sign(self, rng):
