@@ -329,7 +329,7 @@ def _training_errors(h: np.ndarray, cost_rows: np.ndarray, labels0: np.ndarray, 
     running training's scores are finite).  at_sample is the flat index of
     (training, class 0, sample) in the (B, K, N) cost rows.
     """
-    b, k, n = h.shape
+    _, k, n = h.shape
     hit = np.equal(h, np.maximum.reduce(h, axis=1, keepdims=True)).view(np.uint8)
     preds = k - np.maximum.reduce(hit * rank, axis=1).astype(np.intp)
     wrong = np.add.reduce(preds != labels0, axis=1, dtype=np.intp) / n
