@@ -32,9 +32,9 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .costs import CostMatrix, dataset_terms, loss_floor
-from .loss import class_major_risk
-from .weak import (LearnerFit, SplitScores, ThresholdGrid, Tree, accumulate_split, build_grid,
-                   class_major, grow_layer, optimal_vector, search_stumps, stump_search)
+from .loss import smoothed_risk
+from .weak import (SplitScores, Tree, accumulate_split, build_grid, class_major, grow_layer,
+                   optimal_vector, search_stumps)
 
 if TYPE_CHECKING:
     from .io import Dataset
@@ -210,16 +210,18 @@ class RoundRecord:
 class TrainTrace:
     floor: float
     certificate: float
-    c_star_bar: float
     loss_initial: float
     stopped: str = "rounds"
     rounds: list[RoundRecord] = field(default_factory=list)
 
 
-def init_weights(costs: CostMatrix, data: "Dataset") -> np.ndarray:
-    """Class-major (2K, N) weights at the zero model: the raw (c_plus, c_minus) pairs."""
+def init_weights(costs: CostMatrix, data: "Dataset", out: np.ndarray | None = None) -> np.ndarray:
+    """Class-major (2K, N) weights at the zero model: the raw (c_plus, c_minus) pairs.
+
+    `out`, if given, is the C-contiguous (2K, N) buffer to fill, as in `class_major`.
+    """
     c_plus, c_minus, _, _ = dataset_terms(costs, data.labels)
-    return class_major(c_plus, c_minus)
+    return class_major(c_plus, c_minus, out=out)
 
 
 def fit_constant(weights: np.ndarray, epsilon: float) -> np.ndarray:
@@ -264,19 +266,18 @@ def _scale_weights(weights: np.ndarray, shift: np.ndarray) -> list[bool]:
     return (~(peak <= OVERFLOW_LIMIT)).tolist()
 
 
-def edge(scores: SplitScores, c_star_bar: np.ndarray,
+def edge(scores: SplitScores, floor: np.ndarray,
          shrink: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Achieved weak-learner edges gamma and their bound-ready deflations phi, per training.
 
-    gamma = <|s+ - s-|, 1> / (<s+ + s-, 1> - c_star_bar); phi = gamma * shrink
-    deflates it by the certificate gap, shrink = 1 - c_star_bar / (certificate
-    - floor + c_star_bar), so that sqrt(1 - phi^2) contracts the loss excess
-    per round while the loss sits above the certificate.  Takes (B, K) scores
-    and (B,) constants.  Not-applicable cases (zero denominators at the
-    floor, or a shrink of nan for a gap that is not positive) come back as
-    nan.
+    gamma = <|s+ - s-|, 1> / (<s+ + s-, 1> - floor); phi = gamma * shrink
+    deflates it by the certificate gap, shrink = 1 - floor / certificate, so
+    that sqrt(1 - phi^2) contracts the loss excess per round while the loss
+    sits above the certificate.  Takes (B, K) scores and (B,) constants.
+    Not-applicable cases (zero denominators at the floor, or a shrink of nan
+    for a certificate that is not positive) come back as nan.
     """
-    denom = np.add.reduce(scores.s_plus + scores.s_minus, axis=-1) - c_star_bar
+    denom = np.add.reduce(scores.s_plus + scores.s_minus, axis=-1) - floor
     gamma = np.divide(np.add.reduce(np.abs(scores.s_plus - scores.s_minus), axis=-1), denom,
                       out=np.full_like(denom, np.nan), where=denom > 0)
     return gamma, gamma * shrink
@@ -287,23 +288,7 @@ def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
             f"epsilon={epsilon!r} a0={int(cfg.fit_a0)}")
 
 
-def fit_learner(data: "Dataset", weights: np.ndarray, grid: ThresholdGrid, epsilon: float,
-                depth: int, fit: LearnerFit | None = None) -> LearnerFit:
-    """The round's learner for these weights: root stump search, then layer growth to `depth`.
-
-    `fit`, if given, is the root stump search's result for `weights`.  The
-    fit's learner is always a Tree; its outputs and split scores are on the
-    training features under `weights`.
-    """
-    if fit is None:
-        fit = stump_search(data, weights, grid, epsilon)
-    fit = fit._replace(learner=Tree.from_stump(fit.learner))
-    while fit.learner.depth < depth:
-        fit = grow_layer(fit.learner, fit.vector, data, weights, grid, epsilon)
-    return fit
-
-
-def _surrogate_losses(weights: np.ndarray, floor: list, c_star_bar: list) -> list:
+def _surrogate_losses(weights: np.ndarray, floor: list) -> list:
     """The exponential surrogate of each training of a (B, 2K, N) weight stack."""
     b, rows, n = weights.shape
     k = rows // 2
@@ -314,7 +299,8 @@ def _surrogate_losses(weights: np.ndarray, floor: list, c_star_bar: list) -> lis
     mass = np.add.reduce(by_sample.reshape(b, -1), axis=1)
     np.copyto(by_sample, weights[:, k:].transpose(0, 2, 1))
     mass += np.add.reduce(by_sample.reshape(b, -1), axis=1)
-    return [f + m / (2.0 * n) - c for f, m, c in zip(floor, mass.tolist(), c_star_bar)]
+    # floor + mass - floor, not mass alone: the trace's loss keeps these bits
+    return [f + m / (2.0 * n) - f for f, m in zip(floor, mass.tolist())]
 
 
 def _training_errors(h: np.ndarray, cost_rows: np.ndarray, labels0: np.ndarray, rank: np.ndarray,
@@ -345,7 +331,7 @@ def _pulls(h: np.ndarray, cost_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     sign of the slope summed over each side, so it points downhill.
     """
     k = h.shape[1]
-    before, q, expected = class_major_risk(h, cost_rows, TEMPERATURE)
+    before, q, expected = smoothed_risk(h, cost_rows, TEMPERATURE)
     slope = np.subtract(expected[:, None, :], cost_rows)
     np.multiply(q, slope, out=slope)
     np.maximum(np.negative(slope, out=q), 0.0, out=out[:, :k])
@@ -376,7 +362,7 @@ def _line_search(h: np.ndarray, cost_rows: np.ndarray, before: np.ndarray,
         for (row, out), step in zip(rows, steps):
             np.multiply(row, step, out=out)
         np.add(moved, h, out=moved)
-        return class_major_risk(moved, cost_rows, TEMPERATURE, out=moved)[0].tolist()
+        return smoothed_risk(moved, cost_rows, TEMPERATURE, out=moved)[0].tolist()
 
     reach = np.maximum.reduce(np.abs(direction), axis=1).tolist()
     # [lo, hi, left, right, v_left, v_right] per training; a zero direction
@@ -425,23 +411,20 @@ class _Lane:
             raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
         if flat:
             raise ValueError("every feature is constant; nothing to split on")
-        c_plus, c_minus, c_star, _ = dataset_terms(costs, data.labels)
         floor, certificate = loss_floor(costs, data.labels)
-        c_star_bar = float(c_star.mean() / 2.0)
-        gap = certificate - floor + c_star_bar
+        gap = certificate - floor + floor  # not the certificate alone: phi keeps its bits
         self.index = index
-        # (floor, c_star_bar, shrink): see `edge`
-        self.consts = (floor, c_star_bar, 1.0 - c_star_bar / gap if gap > 0 else float("nan"))
-        class_major(c_plus, c_minus, out=weights)  # as `init_weights`
+        # (floor, shrink): see `edge`
+        self.consts = (floor, 1.0 - floor / gap if gap > 0 else float("nan"))
+        init_weights(costs, data, out=weights)
         a0 = np.zeros(costs.k)
         if cfg.fit_a0:
             a0 = fit_constant(weights, epsilon)
             h += a0[:, None]  # class-major scores, zero before
         costs.entries.T.take(data.labels - 1, axis=1, out=cost_rows)  # class-major (K, N)
         self.refine = not costs.equal_off_diagonal()
-        loss = _surrogate_losses(weights[None], [floor], [c_star_bar])[0]
-        self.trace = TrainTrace(floor=floor, certificate=certificate, c_star_bar=c_star_bar,
-                                loss_initial=loss)
+        loss = _surrogate_losses(weights[None], [floor])[0]
+        self.trace = TrainTrace(floor=floor, certificate=certificate, loss_initial=loss)
         self.model = StrongClassifier(k=costs.k, d=data.features.shape[1], a0=a0, rounds=[],
                                       fingerprint=_fingerprint(cfg, epsilon))
 
@@ -480,10 +463,11 @@ def train_many(data: "Dataset", costs_list: list[CostMatrix],
     array and their scores one (B, K, N) array, so a round makes one split
     search (`search_stumps`, on weights for exponential rounds and on the
     smoothed risk's slopes for the others), one line search and one pass of
-    bookkeeping for all of them; layers beyond the root grow per training.
-    A training that stops leaves the stack.  If trainings raise, the rest
-    run to the end, and then the error of the lowest-index failing one is
-    raised, as training them one at a time would.
+    bookkeeping for all of them; layers beyond the root grow per training,
+    with `grow_layer`.  A training that stops leaves the stack.  If
+    trainings raise (at set-up, or on a weight overflow), the rest run to
+    the end, and then the error of the lowest-index failing one is raised,
+    as training them one at a time would.
     """
     cfg.validate()
     X = data.features
@@ -533,8 +517,8 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
     labels0 = data.labels - 1
     k = data.k
     n = data.features.shape[0]
-    consts = np.array([lane.consts for lane in lanes])  # (floor, c_star_bar, shrink)
-    floor, c_star_bar = consts[:, 0].tolist(), consts[:, 1].tolist()
+    consts = np.array([lane.consts for lane in lanes])  # (floor, shrink)
+    floor = consts[:, 0].tolist()
     # flat index of (training, class 0, sample) in the (B, K, N) cost rows
     at_sample = np.arange(len(lanes))[:, None] * (k * n) + np.arange(n)
     rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]  # see `_training_errors`
@@ -550,16 +534,13 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
         fit = search_stumps(search, grid, epsilon)
         trees = [Tree.from_stump(stump) for stump in fit.learner]
         vectors, outputs, scores = fit.vector, fit.outputs, fit.scores
-        failed = {}
         if cfg.tree_depth > 1:
+            # layers beyond the root grow per training, on what it searched
             for b in range(count):
-                try:
-                    grown = fit_learner(data, search[b], grid, epsilon, cfg.tree_depth, fit.pick(b))
-                except Exception as exc:  # noqa: BLE001 - raised for this training, after the rest
-                    failed[b] = exc
-                    vectors[b] = 0.0
-                    continue
-                trees[b] = grown.learner
+                grown = fit.pick(b)
+                for _ in range(cfg.tree_depth - 1):
+                    grown = grow_layer(trees[b], grown.vector, data, search[b], grid, epsilon)
+                    trees[b] = grown.learner
                 vectors[b], outputs[b] = grown.vector, grown.outputs
                 scores.s_plus[b], scores.s_minus[b] = grown.scores.s_plus, grown.scores.s_minus
         del search
@@ -570,7 +551,7 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
         if split:
             gamma, phi = (x.tolist() for x in edge(
                 SplitScores(scores.s_plus[:split], scores.s_minus[:split]),
-                consts[:split, 1], consts[:split, 2]))
+                consts[:split, 0], consts[:split, 1]))
         if split < count:
             vectors[split:], after = _line_search(
                 h[split:], cost_rows[split:], before, vectors[split:], outputs[split:])
@@ -583,15 +564,13 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
         h += shift
         overflow = _scale_weights(weights, shift)
         del shift  # before the next round's search
-        losses = _surrogate_losses(weights, floor, c_star_bar)
+        losses = _surrogate_losses(weights, floor)
         wrong, risks = _training_errors(h, cost_rows, labels0, rank, at_sample)
 
         alive = [True] * count
         for b, lane in enumerate(lanes):
             trace, tree, loss = lane.trace, trees[b], losses[b]
-            if b in failed:
-                errors[lane.index] = failed[b]
-            elif stalled[b]:
+            if stalled[b]:
                 trace.stopped = "stalled"
             elif overflow[b]:
                 errors[lane.index] = NumericOverflowError(t)
@@ -617,7 +596,7 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
                 return
             keep = np.array(alive)
             weights, h, cost_rows, consts = weights[keep], h[keep], cost_rows[keep], consts[keep]
-            floor, c_star_bar = consts[:, 0].tolist(), consts[:, 1].tolist()
+            floor = consts[:, 0].tolist()
             at_sample = at_sample[:len(lanes)]
 
 

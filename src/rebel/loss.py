@@ -6,36 +6,28 @@ import numpy as np
 from .costs import CostMatrix
 
 
-def smoothed_risk(h: np.ndarray, cost_rows: np.ndarray,
-                  temperature: float) -> tuple[float, np.ndarray, np.ndarray]:
+def smoothed_risk(h: np.ndarray, cost_rows: np.ndarray, temperature: float,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean cost of predictions drawn from softmax(temperature * h), the trainer's second objective.
 
-    J(h) = mean_n sum_k cost_rows[n, k] q_nk with q_n = softmax(temperature h_n);
-    cost_rows[n] is sample n's cost row.  Given the class posterior p(x) the
-    expected value at x is sum_k R_k(x) q_k(x), where R_k is the expected cost
-    of predicting k.  That is at least min_k R_k and gets there only as q
-    concentrates on the minimum-expected-cost class: the smoothed risk is
-    population consistent, and its minimizer separates the minimum-risk class
-    by an unbounded margin wherever it is unique, certain or not.  As the
-    temperature grows, J tends to the training risk of argmax h.
+    Takes class-major (K, N) scores and cost rows, cost_rows[:, n] being
+    sample n's cost row, or a stack of trainings, (B, K, N), for (B,) values.
+    J(h) = mean_n sum_k cost_rows[k, n] q_kn with q_n = softmax(temperature h_n).
+    Given the class posterior p(x) the expected value at x is
+    sum_k R_k(x) q_k(x), where R_k is the expected cost of predicting k.  That
+    is at least min_k R_k and gets there only as q concentrates on the
+    minimum-expected-cost class: the smoothed risk is population consistent,
+    and its minimizer separates the minimum-risk class by an unbounded margin
+    wherever it is unique, certain or not.  As the temperature grows, J tends
+    to the training risk of argmax h.
 
-    Returns (J, q, expected) with expected[n] = sum_k cost_rows[n, k] q_nk.
-    The slope of J in h[n, k] is temperature / N * q[n, k] * (cost_rows[n, k] - expected[n]).
-    """
-    value, q, expected = class_major_risk(np.ascontiguousarray(h.T),
-                                          np.ascontiguousarray(cost_rows.T), temperature)
-    return float(value), q.T, expected
-
-
-def class_major_risk(h: np.ndarray, cost_rows: np.ndarray, temperature: float,
-                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`smoothed_risk` on class-major (K, N) scores and cost rows; q comes back (K, N).
-
-    Also takes a stack of trainings, (B, K, N), for (B,) values.  Each
-    reduction over the classes adds K contiguous rows of one training.
-    `out`, if given, is the buffer of h's shape that becomes q; it may be h
-    itself.  The line search calls this ten times a round, so it calls the
-    ufuncs directly: the mean is np.mean's own sum divided by the count.
+    Returns (J, q, expected), q of h's shape and expected[n] =
+    sum_k cost_rows[k, n] q_kn.  The slope of J in h[k, n] is
+    temperature / N * q[k, n] * (cost_rows[k, n] - expected[n]).  `out`, if
+    given, is the buffer of h's shape that becomes q; it may be h itself.
+    Each reduction over the classes adds K contiguous rows of one training.
+    The line search calls this ten times a round, so it calls the ufuncs
+    directly: the mean is np.mean's own sum divided by the count.
     """
     z = np.multiply(h, temperature, out=out)
     z -= np.maximum.reduce(z, axis=-2, keepdims=True)

@@ -124,7 +124,6 @@ class ThresholdGrid:
     """
 
     thresholds: list[np.ndarray]
-    n_tau: int
     buckets: list[np.ndarray]
 
 
@@ -173,7 +172,7 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
         else:
             out.append(lo + ticks * (hi - lo))
     buckets = [_bucketize(features[:, j], thr) for j, thr in enumerate(out)]
-    return ThresholdGrid(thresholds=out, n_tau=n_tau, buckets=buckets)
+    return ThresholdGrid(thresholds=out, buckets=buckets)
 
 
 def class_major(w_plus: np.ndarray, w_minus: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

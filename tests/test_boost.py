@@ -162,16 +162,17 @@ class TestTrainingInvariants:
             assert report.surrogate == pytest.approx(trace.rounds[-1].loss, abs=1e-9)
 
     def test_round_accounting_identity(self):
-        """Replay: each round's post-update loss is floor + achieved value - mean c*/2."""
+        """Replay: each round's post-update loss is floor + achieved value - floor
+        (the floor is the mean of c*/2)."""
         data, costs = random_problem(31, n=60, d=3, k=4)
         model, trace = train(data, costs, TrainConfig(rounds=10, fit_a0=False))
         floor, _ = loss_floor(costs, data.labels)
+        assert trace.floor == floor
         w = init_weights(costs, data)
-        c_star_bar = trace.c_star_bar
         for (learner, vector), record in zip(model.rounds, trace.rounds):
             out = learner.evaluate(data.features)
             value = split_value(accumulate_split(out, w), vector)
-            assert floor + value - c_star_bar == pytest.approx(record.loss, abs=1e-12)
+            assert floor + value - floor == pytest.approx(record.loss, abs=1e-12)
             update_weights(w, out, vector)
 
     def test_binary_uniform_scores_antisymmetric(self):
@@ -206,6 +207,23 @@ class TestTrainingInvariants:
         assert trace.stopped == "certificate"
         assert trace.rounds[-1].loss < trace.certificate
         assert trace.rounds[-1].train_risk == 0.0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_certificate_is_tight_where_risk_stays_positive(self, k):
+        """A separable set plus one row repeated with another label keeps the
+        training risk at 1/N or more, so no round's loss may pass below the
+        certificate.  The loss comes within 3x the certificate's gap above the
+        floor (2.0-2.1x at 400 rounds), so a certificate set even 3x its gap
+        above the floor would be passed and fail this test."""
+        data, costs = separable_problem(n=60, k=k)
+        data = Dataset.from_arrays(np.vstack([data.features, data.features[:1]]),
+                                   np.append(data.labels, data.labels[0] % k + 1), k)
+        _, trace = train(data, costs, TrainConfig(rounds=400, early_stop_on_certificate=False))
+        assert len(trace.rounds) == 400
+        assert min(r.train_risk for r in trace.rounds) >= 1.0 / 61
+        assert all(r.loss >= trace.certificate for r in trace.rounds)
+        gap = trace.certificate - trace.floor
+        assert min(r.excess for r in trace.rounds) < 3.0 * gap
 
     def test_early_stop_can_be_disabled(self):
         data, costs = separable_problem()
@@ -252,8 +270,8 @@ class TestSmoothedRiskPhase:
         values = [r.smoothed_risk for r in trace.rounds if r.phase == "risk"]
         assert len(values) >= 5
         assert all(b < a for a, b in zip(values, values[1:]))
-        rows = costs.entries[data.labels - 1]
-        recomputed = smoothed_risk(model.scores(data.features), rows, 4.0)[0]
+        rows = costs.entries.T[:, data.labels - 1]  # class-major (K, N)
+        recomputed = smoothed_risk(model.scores(data.features).T, rows, 4.0)[0]
         assert recomputed == pytest.approx(values[-1], abs=1e-12)
 
     def test_risk_rounds_stay_in_trust_region(self, run):

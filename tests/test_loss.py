@@ -86,36 +86,37 @@ def test_surrogate_bounds_risk(rng):
 
 def test_smoothed_risk_worked_example():
     # one sample, costs [0, 1, 3], scores [ln 2, 0, 0] at temperature 1:
-    # q = [2, 1, 1] / 4, expected cost (0 * 2 + 1 + 3) / 4 = 1
-    value, q, expected = smoothed_risk(np.array([[np.log(2.0), 0.0, 0.0]]),
-                                       np.array([[0.0, 1.0, 3.0]]), 1.0)
-    np.testing.assert_allclose(q, [[0.5, 0.25, 0.25]], rtol=1e-15)
+    # q = [2, 1, 1] / 4, expected cost (0 * 2 + 1 + 3) / 4 = 1; class-major
+    # (K, N) arrays, one column
+    value, q, expected = smoothed_risk(np.array([[np.log(2.0)], [0.0], [0.0]]),
+                                       np.array([[0.0], [1.0], [3.0]]), 1.0)
+    np.testing.assert_allclose(q, [[0.5], [0.25], [0.25]], rtol=1e-15)
     assert value == pytest.approx(1.0, abs=1e-15)
     assert expected[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_smoothed_risk_slope_matches_finite_differences(rng):
-    h = rng.normal(size=(6, 4))
-    rows = rng.uniform(0.0, 2.0, size=(6, 4))
+    h = rng.normal(size=(4, 6))  # class-major: 4 classes, 6 samples
+    rows = rng.uniform(0.0, 2.0, size=(4, 6))
     temperature = 3.0
     _, q, expected = smoothed_risk(h, rows, temperature)
-    slope = temperature / 6 * q * (rows - expected[:, None])
+    slope = temperature / 6 * q * (rows - expected)
     step = 1e-6
-    for n in range(6):
-        for k in range(4):
+    for k in range(4):
+        for n in range(6):
             bump = np.zeros_like(h)
-            bump[n, k] = step
+            bump[k, n] = step
             numeric = (smoothed_risk(h + bump, rows, temperature)[0]
                        - smoothed_risk(h - bump, rows, temperature)[0]) / (2 * step)
-            assert numeric == pytest.approx(slope[n, k], abs=1e-8)
+            assert numeric == pytest.approx(slope[k, n], abs=1e-8)
 
 
 def test_smoothed_risk_tends_to_training_risk(rng):
     data, costs = random_problem(4, n=40, d=3, k=4)
     model = random_model(8, k=4, d=3, rounds=5)
-    h = model.scores(data.features)
-    rows = costs.entries[data.labels - 1]
-    hard = empirical_risk(np.argmax(h, axis=1) + 1, data.labels, costs)
+    h = model.scores(data.features).T  # class-major (K, N)
+    rows = costs.entries.T[:, data.labels - 1]
+    hard = empirical_risk(np.argmax(h, axis=0) + 1, data.labels, costs)
     assert smoothed_risk(h, rows, 1e6)[0] == pytest.approx(hard, abs=1e-9)
     # a zero temperature is a uniform guess: the mean of each row
     assert smoothed_risk(h, rows, 1e-12)[0] == pytest.approx(float(rows.mean()), rel=1e-9)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import halves, random_costs, random_problem
-from rebel.boost import fit_learner, init_weights, update_weights
+from rebel.boost import init_weights, update_weights
 from rebel.io import Dataset
 from rebel.weak import (SplitScores, Stump, Tree, accumulate_split, build_grid,
                         class_major, cut_sums, grow_layer, optimal_vector, split_value,
@@ -243,12 +243,17 @@ class TestSearchBitEquality:
     @given(case=_layer_cases(), depth=st.integers(1, 5))
     def test_fit_outputs_are_the_learners_outputs(self, case, depth):
         """The outputs a fit reads off the bins are its tree's outputs on the
-        features, at every depth."""
+        features, at every depth: a root stump search, then layers grown as
+        training grows them."""
         data, weights, grid, _, _ = case
         with np.errstate(over="ignore", invalid="ignore"):
-            fit = fit_learner(data, weights, grid, 1e-3, depth)
-        want = fit.learner.evaluate(data.features)
-        assert fit.learner.depth == depth and fit.outputs.dtype == want.dtype
+            fit = stump_search(data, weights, grid, 1e-3)
+            tree = Tree.from_stump(fit.learner)
+            for _ in range(depth - 1):
+                fit = grow_layer(tree, fit.vector, data, weights, grid, 1e-3)
+                tree = fit.learner
+        want = tree.evaluate(data.features)
+        assert tree.depth == depth and fit.outputs.dtype == want.dtype
         np.testing.assert_array_equal(fit.outputs, want)
 
     def test_cut_sums_add_each_group_in_sample_order(self):
