@@ -417,11 +417,11 @@ class _Lane:
         # (floor, shrink): see `edge`
         self.consts = (floor, 1.0 - floor / gap if gap > 0 else float("nan"))
         init_weights(costs, data, out=weights)
+        cost_rows[:] = weights[:costs.k]  # c_plus, the class-major (K, N) cost rows
         a0 = np.zeros(costs.k)
         if cfg.fit_a0:
             a0 = fit_constant(weights, epsilon)
             h += a0[:, None]  # class-major scores, zero before
-        costs.entries.T.take(data.labels - 1, axis=1, out=cost_rows)  # class-major (K, N)
         self.refine = not costs.equal_off_diagonal()
         loss = _surrogate_losses(weights[None], [floor])[0]
         self.trace = TrainTrace(floor=floor, certificate=certificate, loss_initial=loss)

@@ -13,12 +13,13 @@ import numpy as np
 
 from .baselines import run_reduction_trial
 from .boost import NumericOverflowError, TrainConfig, predict_all, train
-from .costs import CostMatrix, load_cost_matrix, save_cost_matrix
+from .costs import CostMatrix
 from .evaluation import report_text, select_rounds
-from .io import load_dataset, load_features, load_model, save_dataset, save_model, write_trace
+from .io import (load_cost_matrix, load_dataset, load_features, load_model, save_cost_matrix,
+                 save_dataset, save_model, write_trace)
 from .loss import empirical_risk
-from .synth import (gen_cost_matrix, gen_dataset, parse_spec_file, random_mixture_spec,
-                    run_comparison, win_fraction, write_comparison_csv)
+from .synth import (gen_cost_matrix, gen_dataset, parse_spec_file, pool_map,
+                    random_mixture_spec, run_comparison, win_fraction, write_comparison_csv)
 
 ORACLE_TOL = 1e-9
 
@@ -135,12 +136,7 @@ def cmd_oracle_check(args) -> int:
     seeds = np.random.default_rng(args.seed).integers(1, 2 ** 31, size=args.trials)
     jobs = [(int(s), args.n, args.d, args.rounds, args.ntau, args.debug_epsilon_scale)
             for s in seeds]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_oracle_job, jobs))
-    else:
-        results = [_oracle_job(j) for j in jobs]
+    results = pool_map(_oracle_job, jobs, args.workers)
 
     failures = 0
     for r in results:

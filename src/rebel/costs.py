@@ -151,31 +151,3 @@ def normalize_random_unit(costs: CostMatrix, labels: np.ndarray) -> CostMatrix:
     if expected <= 0:
         raise ValueError("expected random-guess cost is zero; cannot normalize")
     return CostMatrix.from_array(costs.entries / expected)
-
-
-def load_cost_matrix(path) -> CostMatrix:
-    """Read a K x K cost matrix from a headerless CSV file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                rows.append((line_no, [float(c) for c in cells]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty cost matrix file")
-    width = len(rows[0][1])
-    for line_no, r in rows:
-        if len(r) != width:
-            raise ValueError(f"{path}: line {line_no}: expected {width} cells, got {len(r)}")
-    return CostMatrix.from_array(np.array([r for _, r in rows], dtype=np.float64))
-
-
-def save_cost_matrix(costs: CostMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in costs.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -1,4 +1,4 @@
-"""Dataset loading and the versioned plain-text model format.
+"""Every text input and output: CSV datasets, cost matrices and the versioned model format.
 
 Model files serialize floats with repr (shortest round-trip form), so
 save -> load -> save reproduces the original file byte for byte.
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import StrongClassifier
+from .costs import CostMatrix
 from .weak import Stump, Tree
 
 MODEL_MAGIC = "rebel-model"
@@ -68,16 +69,20 @@ def _is_plain(path) -> bool:
     return True
 
 
-def _read_lines(path) -> tuple[list[tuple[int, str]], int]:
-    """The (line number, stripped line) of every nonblank line, and their cell count.
+def nonblank_lines(path) -> list[tuple[int, str]]:
+    """The (line number, stripped line) of every nonblank line of a UTF-8 text file.
 
     Lines are split on LF, CRLF or a lone CR and stripped of Unicode
-    whitespace; every line must hold the first line's number of cells.
+    whitespace; blank lines, trailing or otherwise, are skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        # blank lines (trailing or otherwise) are ignored
-        lines = [(line_no, stripped) for line_no, line in enumerate(fh, 1)
-                 if (stripped := line.strip())]
+        return [(line_no, stripped) for line_no, line in enumerate(fh, 1)
+                if (stripped := line.strip())]
+
+
+def _read_lines(path) -> tuple[list[tuple[int, str]], int]:
+    """`nonblank_lines`, and their cell count: every line must hold the first line's."""
+    lines = nonblank_lines(path)
     if not lines:
         raise ValueError(f"{path}: no data rows")
     commas = lines[0][1].count(",")
@@ -159,9 +164,7 @@ def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dat
 
     if labels.startswith("file:"):
         label_path = labels[5:]
-        with open(label_path, "r", encoding="utf-8") as fh:
-            numbered = [(line_no, stripped) for line_no, ln in enumerate(fh, 1)
-                        if (stripped := ln.strip())]
+        numbered = nonblank_lines(label_path)
         if len(numbered) != len(lines):
             raise ValueError(f"{label_path}: {len(numbered)} labels for {len(lines)} data rows")
         token_source, token_lines = label_path, numbered
@@ -206,6 +209,20 @@ def load_features(path) -> np.ndarray:
     """
     lines, width = _read_lines(path)
     return _parse_columns(path, lines, list(range(width)))
+
+
+def load_cost_matrix(path) -> CostMatrix:
+    """Read a K x K cost matrix from a headerless CSV file.
+
+    The same line and width rules and the same two readers as `load_features`.
+    """
+    return CostMatrix.from_array(load_features(path))
+
+
+def save_cost_matrix(costs: CostMatrix, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in costs.entries:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def save_dataset(data: Dataset, path) -> None:

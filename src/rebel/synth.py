@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import posterior_all, two_step_predict_all
 from .boost import TrainConfig, predict_all, train_many
 from .costs import CostMatrix, normalize_random_unit
-from .io import Dataset
+from .io import Dataset, nonblank_lines
 from .loss import empirical_risk
 
 MEAN_RANGE = (-5.0, 5.0)
@@ -175,13 +175,17 @@ def run_comparison(n_datasets: int = 10, n_matrices: int = 20, rounds: int = 100
     jobs = [(i, dataset_seeds[i], cost_seeds, rounds, depth, fit_a0, n_matrices)
             for i in range(n_datasets)]
 
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_comparison_dataset_block, jobs))
-    else:
-        blocks = [_comparison_dataset_block(job) for job in jobs]
+    blocks = pool_map(_comparison_dataset_block, jobs, workers)
     return [row for block in blocks for row in block]
+
+
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], in job order; in `workers` processes when workers > 1."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def win_fraction(rows: list[dict]) -> float:
@@ -201,19 +205,17 @@ def parse_spec_file(path) -> MixtureSpec:
     allowed = {"k": int, "clusters_per_class": int, "d": int, "train_total": int,
                "test_total": int, "seed": int}
     kwargs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in allowed:
-                raise ValueError(f"{path}: line {line_no}: unknown key {key!r}")
-            try:
-                kwargs[key] = allowed[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    for line_no, line in nonblank_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise ValueError(f"{path}: line {line_no}: unknown key {key!r}")
+        try:
+            kwargs[key] = allowed[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return random_mixture_spec(**kwargs)

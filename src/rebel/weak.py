@@ -321,6 +321,8 @@ def search_stumps(weights: np.ndarray, grid: ThresholdGrid, epsilon: float) -> L
     # per training, the lowest criterion of any feature, a nan feature skipped
     best = np.array([np.minimum.reduce(crit, axis=1) for crit in crits])
     limit = np.fmin.reduce(best, axis=0, initial=np.inf) + SELECTION_SLACK * mass
+    if np.isnan(limit).any():  # exactly when a training's mass, so one of its weights, is nan
+        raise ValueError(f"training {int(np.isnan(limit).argmax())} has a nan weight")
     stumps = []
     plus = np.empty((b, n), dtype=bool)
     for t, j in enumerate((best <= limit).argmax(axis=0).tolist()):

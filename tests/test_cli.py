@@ -143,6 +143,18 @@ def test_bad_epsilon_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_cost_cell_exits_2_naming_line_and_column(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("0.0,a\n1.0,b\n")
+    costs = tmp_path / "costs.csv"
+    costs.write_text("0,1\nnan,0\n")
+    model = tmp_path / "m.txt"
+    assert run(["train", "--data", data, "--labels", "col:-1", "--costs", costs,
+                "--rounds", 2, "--out", model]) == 2
+    assert f"{costs}: line 2, column 0: non-finite value 'nan'" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def _three_class_train(tmp_path):
     data = tmp_path / "train.csv"
     data.write_text("0.0,a\n1.0,b\n2.0,c\n0.5,a\n1.5,b\n2.5,c\n")

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import random_costs
-from rebel.costs import (CostMatrix, dataset_terms, load_cost_matrix, loss_floor,
-                         normalize_random_unit, save_cost_matrix)
+from rebel.costs import CostMatrix, dataset_terms, loss_floor, normalize_random_unit
+from rebel.io import load_cost_matrix, save_cost_matrix
 from reference_impl import decompose_row, sample_terms
 
 
@@ -210,4 +210,17 @@ class TestCostIO:
         path = tmp_path / "bad.csv"
         path.write_text("0,x\n1,0\n")
         with pytest.raises(ValueError):
+            load_cost_matrix(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e309"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1\n{cell},0\n")
+        with pytest.raises(ValueError, match=f"line 2, column 0: non-finite value '{cell}'"):
+            load_cost_matrix(path)
+
+    def test_empty_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n \n")
+        with pytest.raises(ValueError, match="no data rows"):
             load_cost_matrix(path)

@@ -13,7 +13,7 @@ from conftest import random_model, random_problem
 from reference_impl import cell_by_cell_dataset, cell_by_cell_parse
 from rebel.baselines import adaboost_train, random_binary_dataset
 from rebel.boost import StrongClassifier, TrainConfig, train
-from rebel.io import (Dataset, ModelParseError, load_dataset, load_features,
+from rebel.io import (Dataset, ModelParseError, load_cost_matrix, load_dataset, load_features,
                       load_model, model_from_text, model_to_text, save_dataset,
                       save_model, write_trace)
 from rebel.weak import Stump, Tree
@@ -267,6 +267,16 @@ class TestBulkParse:
         padded.write_text("1.5,\xa0-2\n3,4e1\n", encoding="utf-8")
         np.testing.assert_array_equal(load_features(padded), [[1.5, -2.0], [3.0, 40.0]])
         assert len(calls) == 1
+        # a cost file and its non-ASCII twin: the same two readers, the same bytes
+        costs = tmp_path / "costs.csv"
+        costs.write_text("0, 2.5\t\r\n4e1,0\n")
+        costs_padded = tmp_path / "costs_padded.csv"
+        costs_padded.write_text("0,\u3000 2.5\r\n4e1\xa0,0\n", encoding="utf-8")
+        entries = load_cost_matrix(costs).entries
+        np.testing.assert_array_equal(entries, [[0.0, 2.5], [40.0, 0.0]])
+        assert len(calls) == 2
+        assert load_cost_matrix(costs_padded).entries.tobytes() == entries.tobytes()
+        assert len(calls) == 2
 
 
 def _line_starts(text):

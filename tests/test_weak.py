@@ -7,10 +7,11 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import halves, random_costs, random_problem
 from rebel.boost import init_weights, update_weights
+from rebel.costs import CostMatrix
 from rebel.io import Dataset
 from rebel.weak import (SplitScores, Stump, Tree, accumulate_split, build_grid,
-                        class_major, cut_sums, grow_layer, optimal_vector, split_value,
-                        stump_search)
+                        class_major, cut_sums, grow_layer, optimal_vector, search_stumps,
+                        split_value, stump_search)
 from reference_impl import (naive_split_scores, naive_stump_search, per_slot_grow_layer,
                             tree_outputs)
 
@@ -382,6 +383,21 @@ class TestStumpSearch:
             scores = accumulate_split(outputs, w)
             assert fit.scores.s_plus.tobytes() == scores.s_plus.tobytes()
             assert fit.scores.s_minus.tobytes() == scores.s_minus.tobytes()
+
+    def test_nan_weight_is_an_error_naming_its_training(self):
+        """3 rows, 2 classes: a nan weight makes every criterion of its training nan."""
+        data = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, 2, 1], 2)
+        grid = build_grid(data.features, 10)
+        w = init_weights(CostMatrix.uniform(2), data)
+        stack = np.stack([w, w])
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="training 1 has a nan weight"):
+            search_stumps(stack, grid, epsilon=1e-3)
+        with pytest.raises(ValueError, match="training 0 has a nan weight"):
+            stump_search(data, stack[1], grid, epsilon=1e-3)
+        w[0, 1] = np.inf  # an inf weight still picks a stump
+        stump, *_ = stump_search(data, w, grid, epsilon=1e-3)
+        assert stump.feature == 0 and stump.threshold in grid.thresholds[0]
 
     def test_polarity_always_plus_one(self, rng):
         data, costs = random_problem(5, n=40, d=2, k=3)
