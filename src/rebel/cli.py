@@ -72,10 +72,11 @@ def cmd_predict(args) -> int:
         features = load_features(args.data)
     scores = model.scores(features)
     preds = np.argmax(scores, axis=1) + 1
-    lines = ["pred," + ",".join(f"score_{i}" for i in range(1, model.k + 1))]
-    lines += [f"{p}," + ",".join(map(repr, row))
-              for p, row in zip(preds.tolist(), scores.tolist())]
-    text = "\n".join(lines) + "\n"
+    # one format call over the (N, K + 1) cells: `%d` of an int is its str and
+    # `%r` of a float its repr, which is most of the time left here
+    cells = np.concatenate((preds[:, None], scores), axis=1, dtype=object)
+    text = ("pred," + ",".join(f"score_{i}" for i in range(1, model.k + 1)) + "\n"
+            + ("%d" + ",%r" * model.k + "\n") * len(cells) % tuple(cells.ravel().tolist()))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -5,6 +5,7 @@ save -> load -> save reproduces the original file byte for byte.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -103,32 +104,45 @@ def _parse_feature(token: str, path, line_no: int, col: int) -> float:
     return val
 
 
+def _c_read(path, cols: list[int] | None = None) -> np.ndarray | None:
+    """NumPy's C reader (`np.loadtxt`) on a plain file: the float matrix of
+    columns `cols` (all if None), or None where the file is not plain or the
+    reader refuses it, warns (raised as an error) or reads a non-finite
+    value.  Without `cols` it refuses a row of another width than the first.
+    """
+    if not _is_plain(path):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None,
+                                ndmin=2, usecols=cols, encoding="utf-8")
+    except (ValueError, Warning):
+        return None  # e.g. `1_0` or a whitespace-only line, which float() takes
+    return values if np.isfinite(values).all() else None
+
+
 def _parse_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.ndarray:
     """The (N, len(cols)) float matrix of the chosen columns of `_read_lines` output.
 
-    Two readers give one result.  A file whose bytes are all printable ASCII,
-    tab, LF or CR goes to NumPy's C reader (`np.loadtxt`), with warnings
-    raised as errors; its matrix is kept if it has one row per line of
-    `lines` and only finite values.  Every other file, and every plain file
-    that matrix is not kept for, goes through `float()`: one pass over all
-    chosen cells, one finiteness check, and only if either fails, a
-    cell-by-cell scan that reports the first bad cell by line and column.
-    On plain cells both readers hand the stripped cell to
+    Two readers give one result.  A plain file goes to `_c_read`, and its
+    matrix is kept if it has one row per line of `lines`; every other file,
+    and every plain file that matrix is not kept for, goes through
+    `_float_columns`.  On plain cells both readers hand the stripped cell to
     `PyOS_string_to_double`, so the values, the accepted inputs and the
-    messages are those of `float()`.  The C reader never sees a ragged row:
-    `_read_lines` has checked every line's width.
+    messages are those of `float()`.  The C reader never sees a ragged row
+    here: `_read_lines` has checked every line's width.
     """
-    if _is_plain(path):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None,
-                                    ndmin=2, usecols=cols, encoding="utf-8")
-        except (ValueError, Warning):
-            values = None  # e.g. `1_0` or a whitespace-only line, which float() takes
-        if values is not None and values.shape == (len(lines), len(cols)) \
-                and np.isfinite(values).all():
-            return values
+    values = _c_read(path, cols)
+    if values is not None and values.shape == (len(lines), len(cols)):
+        return values
+    return _float_columns(path, lines, cols)
+
+
+def _float_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.ndarray:
+    """`_parse_columns` through `float()`: one pass over all chosen cells, one
+    finiteness check, and only if either fails, a cell-by-cell scan that
+    reports the first bad cell by line and column."""
     tokens = [cells[col] for cells in (stripped.split(",") for _, stripped in lines)
               for col in cols]
     try:
@@ -205,10 +219,17 @@ def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dat
 def load_features(path) -> np.ndarray:
     """Load an all-numeric CSV (no label column) as a feature matrix.
 
-    The same line and width rules and the same two readers as `load_dataset`.
+    The same rules, readers and messages as `load_dataset`, but a plain file
+    goes to the C reader before any line pass, its widths unchecked: the
+    reader refuses a ragged file itself.  Only a file it refuses (an empty
+    one too) gets `_read_lines` and `float()`, which name the bad line and
+    column.
     """
+    values = _c_read(path)
+    if values is not None:
+        return values
     lines, width = _read_lines(path)
-    return _parse_columns(path, lines, list(range(width)))
+    return _float_columns(path, lines, list(range(width)))
 
 
 def load_cost_matrix(path) -> CostMatrix:
@@ -284,12 +305,12 @@ def _parse_floats(parts: list[str], count: int, what: str, offset: int) -> np.nd
     if len(parts) != count:
         raise ModelParseError(f"{what}: expected {count} values, got {len(parts)}", offset)
     try:
-        vals = np.array([float(p) for p in parts])
+        vals = [float(p) for p in parts]
     except ValueError:
         raise ModelParseError(f"{what}: bad float", offset) from None
-    if not np.all(np.isfinite(vals)):
+    if not all(map(math.isfinite, vals)):
         raise ModelParseError(f"{what}: non-finite value", offset)
-    return vals
+    return np.array(vals)
 
 
 def model_from_text(text: str) -> StrongClassifier:
@@ -354,7 +375,7 @@ def model_from_text(text: str) -> StrongClassifier:
                 raise ModelParseError(f"bad node fields in {line!r}", off) from None
             if not 0 <= feature < d:
                 raise ModelParseError(f"node feature {feature} out of range", off)
-            if not np.isfinite(threshold):
+            if not math.isfinite(threshold):
                 raise ModelParseError("non-finite node threshold", off)
             if polarity not in (1, -1):
                 raise ModelParseError(f"node polarity must be +-1, got {polarity}", off)

@@ -22,6 +22,7 @@ samples of an (N, K) array does.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -163,16 +164,17 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("features must be a non-empty (N, d) array")
     ticks = np.arange(1, n_tau + 1, dtype=np.float64) / (n_tau + 1)
-    out = []
+    thresholds, buckets = [], []
     for j in range(features.shape[1]):
-        lo = float(features[:, j].min())
-        hi = float(features[:, j].max())
-        if lo == hi:
-            out.append(np.array([lo]))
-        else:
-            out.append(lo + ticks * (hi - lo))
-    buckets = [_bucketize(features[:, j], thr) for j, thr in enumerate(out)]
-    return ThresholdGrid(thresholds=out, buckets=buckets)
+        # one contiguous copy of the column for its min, max and binning: at
+        # 10k x 20 (2-vCPU Xeon), 2.0 ms in all against 2.8 ms reading the
+        # strided column and 3.1 ms with `features.min(axis=0)` and `.max(axis=0)`
+        values = np.ascontiguousarray(features[:, j])
+        lo, hi = float(values.min()), float(values.max())
+        thr = np.array([lo]) if lo == hi else lo + ticks * (hi - lo)
+        thresholds.append(thr)
+        buckets.append(_bucketize(values, thr, lo, hi))
+    return ThresholdGrid(thresholds=thresholds, buckets=buckets)
 
 
 def class_major(w_plus: np.ndarray, w_minus: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -264,11 +266,35 @@ def split_value(scores: SplitScores, vector: np.ndarray) -> float:
     return float(scores.s_plus @ np.exp(vector) + scores.s_minus @ np.exp(-vector))
 
 
-def _bucketize(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    # bucket = number of thresholds strictly below the value, so a sample sits
-    # on the +1 side of threshold i exactly when i < bucket (x > tau strict,
-    # ties route to -1)
-    return np.searchsorted(thresholds, values, side="left")
+def _bucketize(values: np.ndarray, thresholds: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`np.searchsorted(thresholds, values, side="left")` for a feature's grid.
+
+    A value's bucket is the number of thresholds strictly below it, so a
+    sample sits on the +1 side of threshold i exactly when i < bucket (x > tau
+    strict, ties route to -1).  The thresholds are `lo + (i/(m+1))(hi-lo)`,
+    so the bucket is guessed as (x - lo) / step, then stepped down where the
+    threshold below is >= x and up where the one above is < x until neither
+    holds: the exact answer, whatever the guess, as the thresholds are sorted.
+    With a step above 2^-46 of the larger bound (64 ulps), rounding moves the
+    guess by a small part of a step, so one correction settles it.  Other
+    spans (constant, overflowing, a few ulps or subnormal-wide) take
+    searchsorted.
+    """
+    step = (hi - lo) / (len(thresholds) + 1)
+    # the 2^-960 floor keeps the step far above the subnormals, whose ulps are absolute
+    if not (math.isfinite(step) and step * 2.0 ** 46 > max(abs(lo), abs(hi), 2.0 ** -960)):
+        return np.searchsorted(thresholds, values, side="left")
+    guess = ((values - lo) / step).astype(np.intp)
+    np.minimum(guess, len(thresholds), out=guess)
+    # bounds[g] and bounds[g + 1] are the thresholds just below and above bucket g
+    bounds = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    while True:
+        down = bounds.take(guess) >= values
+        up = bounds.take(guess + 1) < values
+        if not (down.any() or up.any()):
+            return guess
+        guess -= down
+        guess += up
 
 
 # Candidates whose criterion sits within this fraction of the round's weight

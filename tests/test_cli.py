@@ -88,6 +88,31 @@ def test_predict_rows_are_repr_of_scores(tmp_path):
     assert pred_csv.read_text() == "\n".join(expected) + "\n"
 
 
+@pytest.mark.parametrize("a0", [
+    [-0.0, 1e-05], [0.0001, 1e16], [123456789.0, -0.0],
+    [-0.0, 1e-05, 0.0001, 1e16, 123456789.0, 9.999999999999999e-05, 1e-323, -1e16, 0.1],
+])
+def test_predict_text_at_repr_switch_points(tmp_path, a0):
+    """repr switches to exponent notation below 1e-4 and from 1e16, and signs
+    -0.0: a zero-round model scores every row with a0, so the rows pin the
+    predict text at those points."""
+    from rebel.boost import StrongClassifier
+    from rebel.io import save_model
+    model = StrongClassifier(k=len(a0), d=1, a0=np.array(a0), rounds=[])
+    model_txt = tmp_path / "model.txt"
+    save_model(model, model_txt)
+    feats = tmp_path / "plain.csv"
+    feats.write_text("0.5\n-2\n7\n")
+    pred_csv = tmp_path / "pred.csv"
+    assert run(["predict", "--model", model_txt, "--data", feats, "--out", pred_csv]) == 0
+    scores = model.scores(np.array([[0.5], [-2.0], [7.0]]))
+    preds = (np.argmax(scores, axis=1) + 1).tolist()
+    header = "pred," + ",".join(f"score_{i}" for i in range(1, len(a0) + 1))
+    rows = [f"{p}," + ",".join(map(repr, row)) for p, row in zip(preds, scores.tolist())]
+    assert pred_csv.read_bytes() == ("\n".join([header] + rows) + "\n").encode()
+    assert rows[0].split(",")[1:] == [repr(v) for v in a0]
+
+
 @pytest.mark.parametrize("command", [
     ["train", "--data", "d.csv", "--labels", "col:-1", "--rounds", "2", "--out", "m.txt"],
     ["predict", "--model", "m.txt", "--data", "d.csv"],

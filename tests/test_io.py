@@ -237,6 +237,13 @@ class TestBulkParse:
     @example(text="")
     # NumPy's reader takes overflow to inf: the finiteness check
     @example(text="1,1e309\n")
+    # plain files that `load_features` hands NumPy's reader before any line
+    # pass: a short row, a trailing comma and a whitespace-only line, which
+    # it rejects, and lone-CR endings, which it splits as the line pass does
+    @example(text="1,2\n3\n")
+    @example(text="1,2,\n3,4,\n")
+    @example(text="1,2\n\t \n3,4\n")
+    @example(text="1,2\r3,4\r\r")
     def test_load_features_matches_cell_by_cell(self, text):
         fast, reference = _outcomes(text, load_features, cell_by_cell_parse)
         assert fast == reference

@@ -1,4 +1,6 @@
 """Stumps, threshold grids, split scores, and the two split searches."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,41 @@ class TestStump:
         np.testing.assert_array_equal(Tree.from_stump(stump).evaluate(x), [-1, 1])
 
 
+# bounds a grid column's ends are drawn from: signed zeros, the smallest
+# subnormal and normal, ends whose span overflows, and ordinary values
+_GRID_ENDS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -3.0, 0.1,
+              1e300, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _grid_cases(draw):
+    """(N, d) features and n_tau for `build_grid`.  Each column has drawn
+    ends, a free span, one 1-2 ulps wide, or none (constant), and holds the
+    ends, values in between, and values exactly on its grid thresholds, each
+    possibly repeated."""
+    n_tau = draw(st.integers(1, 300))
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    ends = st.sampled_from(_GRID_ENDS) | st.floats(-1.7e308, 1.7e308)
+    columns = []
+    for _ in range(d):
+        lo = draw(ends)
+        width = draw(st.sampled_from(["free", "ulps", "constant"]))
+        if width == "free":
+            lo, hi = sorted([lo, draw(ends)])
+        elif width == "ulps":
+            hi = lo
+            for _ in range(draw(st.integers(1, 2))):
+                hi = float(np.nextafter(hi, np.inf))
+        else:
+            hi = lo
+        thresholds = build_grid(np.array([[lo], [hi]]), n_tau).thresholds[0].tolist()
+        inner = st.floats(lo, hi) if lo < hi else st.just(lo)
+        values = draw(st.lists(st.sampled_from(thresholds) | inner | st.sampled_from([lo, hi]),
+                               min_size=n - 2, max_size=n - 2))
+        columns.append(draw(st.permutations([lo, hi] + values)))
+    return np.array(columns).T, n_tau
+
+
 class TestGrid:
     def test_two_point_feature_single_cut(self):
         grid = build_grid(np.array([[0.0], [10.0]]), 1)
@@ -62,6 +99,27 @@ class TestGrid:
         np.testing.assert_array_equal(grid.thresholds[0], [3.0])
         stump = Stump(feature=0, threshold=3.0, polarity=1)
         np.testing.assert_array_equal(Tree.from_stump(stump).evaluate(x), [-1, -1, -1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_grid_cases())
+    # values exactly on the thresholds 1/3 and 2/3
+    @example(case=(np.array([[0.0], [1.0 / 3.0], [0.5], [2.0 / 3.0], [1.0]]), 2))
+    # spans of 1 and 2 ulps, subnormal, overflowing: searchsorted
+    @example(case=(np.array([[1.0], [1.0000000000000002]]), 300))
+    @example(case=(np.array([[1.0], [1.0000000000000002], [1.0000000000000004]]), 7))
+    @example(case=(np.array([[0.0], [5e-324], [1e-323]]), 300))
+    @example(case=(np.array([[-1.7e308], [0.0], [1.7e308]]), 50))
+    def test_buckets_are_searchsorted(self, case):
+        """Each sample's bucket is the count of its feature's thresholds
+        strictly below it, and binning raises no NumPy warning."""
+        x, n_tau = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = build_grid(x, n_tau)
+        for j, thresholds in enumerate(grid.thresholds):
+            expected = np.searchsorted(thresholds, x[:, j], side="left")
+            assert grid.buckets[j].dtype == expected.dtype
+            np.testing.assert_array_equal(grid.buckets[j], expected)
 
 
 class TestSplitScores:
