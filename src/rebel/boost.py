@@ -33,11 +33,12 @@ import numpy as np
 
 from .costs import CostMatrix, dataset_terms, loss_floor
 from .loss import smoothed_risk
-from .weak import (SplitScores, Tree, accumulate_split, build_grid, class_major, grow_layer,
-                   optimal_vector, search_stumps)
+from .weak import (Tree, accumulate_split, build_grid, class_major, grow_layer, optimal_vector,
+                   search_stumps)
 
 if TYPE_CHECKING:
     from .io import Dataset
+    from .weak import SplitScores
 
 OVERFLOW_LIMIT = 1e300
 FLOOR_STOP = 1e-12
@@ -288,19 +289,10 @@ def _fingerprint(cfg: TrainConfig, epsilon: float) -> str:
             f"epsilon={epsilon!r} a0={int(cfg.fit_a0)}")
 
 
-def _surrogate_losses(weights: np.ndarray, floor: list) -> list:
-    """The exponential surrogate of each training of a (B, 2K, N) weight stack."""
-    b, rows, n = weights.shape
-    k = rows // 2
-    # each half's whole-array sum over a C-ordered (N, K) copy: summed in the
-    # buffer's class-major order, the mass would differ in the last bits
-    by_sample = np.empty((b, n, k))
-    np.copyto(by_sample, weights[:, :k].transpose(0, 2, 1))
-    mass = np.add.reduce(by_sample.reshape(b, -1), axis=1)
-    np.copyto(by_sample, weights[:, k:].transpose(0, 2, 1))
-    mass += np.add.reduce(by_sample.reshape(b, -1), axis=1)
-    # floor + mass - floor, not mass alone: the trace's loss keeps these bits
-    return [f + m / (2.0 * n) - f for f, m in zip(floor, mass.tolist())]
+def _surrogate_losses(weights: np.ndarray) -> np.ndarray:
+    """The exponential surrogate of each training of a (B, 2K, N) weight stack: its mass / (2N)."""
+    b, _, n = weights.shape
+    return np.add.reduce(weights.reshape(b, -1), axis=1) / (2.0 * n)
 
 
 def _training_errors(h: np.ndarray, cost_rows: np.ndarray, labels0: np.ndarray, rank: np.ndarray,
@@ -412,10 +404,9 @@ class _Lane:
         if flat:
             raise ValueError("every feature is constant; nothing to split on")
         floor, certificate = loss_floor(costs, data.labels)
-        gap = certificate - floor + floor  # not the certificate alone: phi keeps its bits
         self.index = index
         # (floor, shrink): see `edge`
-        self.consts = (floor, 1.0 - floor / gap if gap > 0 else float("nan"))
+        self.consts = (floor, 1.0 - floor / certificate if certificate > 0 else float("nan"))
         init_weights(costs, data, out=weights)
         cost_rows[:] = weights[:costs.k]  # c_plus, the class-major (K, N) cost rows
         a0 = np.zeros(costs.k)
@@ -423,7 +414,7 @@ class _Lane:
             a0 = fit_constant(weights, epsilon)
             h += a0[:, None]  # class-major scores, zero before
         self.refine = not costs.equal_off_diagonal()
-        loss = _surrogate_losses(weights[None], [floor])[0]
+        loss = float(_surrogate_losses(weights[None])[0])
         self.trace = TrainTrace(floor=floor, certificate=certificate, loss_initial=loss)
         self.model = StrongClassifier(k=costs.k, d=data.features.shape[1], a0=a0, rounds=[],
                                       fingerprint=_fingerprint(cfg, epsilon))
@@ -518,7 +509,6 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
     k = data.k
     n = data.features.shape[0]
     consts = np.array([lane.consts for lane in lanes])  # (floor, shrink)
-    floor = consts[:, 0].tolist()
     # flat index of (training, class 0, sample) in the (B, K, N) cost rows
     at_sample = np.arange(len(lanes))[:, None] * (k * n) + np.arange(n)
     rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]  # see `_training_errors`
@@ -547,24 +537,20 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
 
         # a smoothed-risk round's vector is not the surrogate's optimum, so it
         # claims no edge
-        gamma = phi = after = stalled = []
-        if split:
-            gamma, phi = (x.tolist() for x in edge(
-                SplitScores(scores.s_plus[:split], scores.s_minus[:split]),
-                consts[:split, 0], consts[:split, 1]))
+        gamma, phi = edge(scores, consts[:, 0], consts[:, 1])
+        gamma[split:] = phi[split:] = np.nan
+        gamma, phi = gamma.tolist(), phi.tolist()
+        after, stalled = [np.nan] * count, [False] * count
         if split < count:
-            vectors[split:], after = _line_search(
+            vectors[split:], after[split:] = _line_search(
                 h[split:], cost_rows[split:], before, vectors[split:], outputs[split:])
-            stalled = (~np.any(vectors[split:], axis=1)).tolist()
-        none = [np.nan] * (count - split)
-        gamma, phi = gamma + none, phi + none
-        after, stalled = [np.nan] * split + after, [False] * split + stalled
+            stalled[split:] = (~np.any(vectors[split:], axis=1)).tolist()
 
         shift = vectors[:, :, None] * outputs[:, None, :]
         h += shift
         overflow = _scale_weights(weights, shift)
         del shift  # before the next round's search
-        losses = _surrogate_losses(weights, floor)
+        losses = _surrogate_losses(weights).tolist()
         wrong, risks = _training_errors(h, cost_rows, labels0, rank, at_sample)
 
         alive = [True] * count
@@ -596,7 +582,6 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
                 return
             keep = np.array(alive)
             weights, h, cost_rows, consts = weights[keep], h[keep], cost_rows[keep], consts[keep]
-            floor = consts[:, 0].tolist()
             at_sample = at_sample[:len(lanes)]
 
 

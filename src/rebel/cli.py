@@ -34,6 +34,8 @@ def _load_costs(path: str | None, k: int) -> CostMatrix:
 
 
 def cmd_train(args) -> int:
+    if args.val_labels and not args.val:
+        raise ValueError("--val-labels needs --val")
     data = load_dataset(args.data, args.labels)
     costs = _load_costs(args.costs, data.k)
     val = None
@@ -99,12 +101,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        spec = parse_spec_file(args.spec)
-    else:
-        spec = random_mixture_spec(k=args.k, clusters_per_class=args.clusters,
-                                   train_total=args.train_total, test_total=args.test_total,
-                                   seed=args.seed)
+    # the flags given, passed on alone, so `random_mixture_spec` keeps the defaults
+    drawn = {"k": args.k, "clusters_per_class": args.clusters, "train_total": args.train_total,
+             "test_total": args.test_total, "seed": args.seed}
+    drawn = {key: value for key, value in drawn.items() if value is not None}
+    if args.spec and drawn:
+        raise ValueError("--spec gives the whole mixture; --k, --clusters, --train-total, "
+                         "--test-total and --seed draw a random one instead")
+    spec = parse_spec_file(args.spec) if args.spec else random_mixture_spec(**drawn)
     train_data, test_data = gen_dataset(spec)
     save_dataset(train_data, args.out_train)
     save_dataset(test_data, args.out_test)
@@ -205,11 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="generate a synthetic problem")
     s.add_argument("--spec", help="key=value mixture spec file")
-    s.add_argument("--k", type=int, default=4)
-    s.add_argument("--clusters", type=int, default=2)
-    s.add_argument("--train-total", type=int, default=1000)
-    s.add_argument("--test-total", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
+    # without --spec, these draw a random mixture; unset, they take its defaults
+    s.add_argument("--k", type=int)
+    s.add_argument("--clusters", type=int)
+    s.add_argument("--train-total", type=int)
+    s.add_argument("--test-total", type=int)
+    s.add_argument("--seed", type=int)
     s.add_argument("--cost-seed", type=int, default=0)
     s.add_argument("--out-train", required=True)
     s.add_argument("--out-test", required=True)

@@ -94,16 +94,6 @@ def _read_lines(path) -> tuple[list[tuple[int, str]], int]:
     return lines, commas + 1
 
 
-def _parse_feature(token: str, path, line_no: int, col: int) -> float:
-    try:
-        val = float(token)
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {line_no}, column {col}: not a number: {token!r}") from exc
-    if not np.isfinite(val):
-        raise ValueError(f"{path}: line {line_no}, column {col}: non-finite value {token!r}")
-    return val
-
-
 def _c_read(path, cols: list[int] | None = None) -> np.ndarray | None:
     """NumPy's C reader (`np.loadtxt`) on a plain file: the float matrix of
     columns `cols` (all if None), or None where the file is not plain or the
@@ -122,27 +112,11 @@ def _c_read(path, cols: list[int] | None = None) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _parse_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.ndarray:
-    """The (N, len(cols)) float matrix of the chosen columns of `_read_lines` output.
-
-    Two readers give one result.  A plain file goes to `_c_read`, and its
-    matrix is kept if it has one row per line of `lines`; every other file,
-    and every plain file that matrix is not kept for, goes through
-    `_float_columns`.  On plain cells both readers hand the stripped cell to
-    `PyOS_string_to_double`, so the values, the accepted inputs and the
-    messages are those of `float()`.  The C reader never sees a ragged row
-    here: `_read_lines` has checked every line's width.
-    """
-    values = _c_read(path, cols)
-    if values is not None and values.shape == (len(lines), len(cols)):
-        return values
-    return _float_columns(path, lines, cols)
-
-
 def _float_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.ndarray:
-    """`_parse_columns` through `float()`: one pass over all chosen cells, one
-    finiteness check, and only if either fails, a cell-by-cell scan that
-    reports the first bad cell by line and column."""
+    """The (N, len(cols)) float matrix of the chosen columns of `_read_lines`
+    output, through `float()`: one pass over all chosen cells, one finiteness
+    check, and only if either fails, a cell-by-cell scan that reports the
+    first bad cell by line and column."""
     tokens = [cells[col] for cells in (stripped.split(",") for _, stripped in lines)
               for col in cols]
     try:
@@ -154,7 +128,14 @@ def _float_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.nd
     for line_no, stripped in lines:
         cells = stripped.split(",")
         for col in cols:
-            _parse_feature(cells[col], path, line_no, col)
+            try:
+                val = float(cells[col])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}, column {col}: "
+                                 f"not a number: {cells[col]!r}") from exc
+            if not math.isfinite(val):
+                raise ValueError(f"{path}: line {line_no}, column {col}: "
+                                 f"non-finite value {cells[col]!r}")
     raise AssertionError("bulk parse failed on cells that parse one by one")
 
 
@@ -170,9 +151,11 @@ def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dat
 
     Nonblank lines are stripped and must all hold the same number of
     comma-separated cells.  A label token is its stripped line's cell,
-    untrimmed.  The feature cells are parsed by `_parse_columns`: NumPy's C
-    reader when every byte of the file is printable ASCII, tab, LF or CR,
-    `float()` otherwise, with the same values and messages either way.
+    untrimmed.  The features come from `_c_read` if it reads one row per
+    nonblank line, else from `_float_columns`.  Both hand a plain cell,
+    stripped, to `PyOS_string_to_double`, so the values, the accepted inputs
+    and the messages are those of `float()`.  The C reader sees no ragged
+    row: `_read_lines` has checked every line's width.
     """
     lines, width = _read_lines(path)
 
@@ -202,7 +185,9 @@ def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dat
 
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns left")
-    features = _parse_columns(path, lines, feature_cols)
+    features = _c_read(path, feature_cols)
+    if features is None or features.shape != (len(lines), len(feature_cols)):
+        features = _float_columns(path, lines, feature_cols)
 
     names = sorted(set(tokens)) if label_names is None else list(label_names)
     index = {name: i + 1 for i, name in enumerate(names)}

@@ -161,9 +161,32 @@ class TestTrainingInvariants:
             report = surrogate_loss(model, data, costs)
             assert report.surrogate == pytest.approx(trace.rounds[-1].loss, abs=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), b=st.integers(1, 4), k=st.integers(2, 5),
+           depth=st.integers(1, 2), warm=st.integers(1, 10))
+    def test_trace_losses_are_the_prefix_surrogates(self, seed, b, k, depth, warm):
+        """In a lockstep stack, in both phases, loss_initial and every round's
+        loss equal the surrogate recomputed from the scores of the model so
+        far, within 1e-12 relative: the trace sums the weights it updated,
+        the reference exponentiates the scores."""
+        data, _ = random_problem(seed, n=60, d=3, k=k)
+        rng = np.random.default_rng(seed)
+        matrices = [random_costs(k, rng) for _ in range(b)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boost, "WARM_ROUNDS", warm)
+            results = train_many(data, matrices, TrainConfig(rounds=15, tree_depth=depth,
+                                                             early_stop_on_certificate=False))
+        for costs, (model, trace) in zip(matrices, results):
+            event("risk rounds" if trace.rounds[-1].phase == "risk" else "exp rounds only")
+            losses = [trace.loss_initial] + [r.loss for r in trace.rounds]
+            for t, loss in enumerate(losses):
+                prefix = StrongClassifier(k=k, d=model.d, a0=model.a0, rounds=model.rounds[:t])
+                assert surrogate_loss(prefix, data, costs).surrogate == pytest.approx(
+                    loss, rel=1e-12, abs=0.0)
+
     def test_round_accounting_identity(self):
-        """Replay: each round's post-update loss is floor + achieved value - floor
-        (the floor is the mean of c*/2)."""
+        """Replay: each round's post-update loss is the achieved value of its
+        vector on the weights before it, mass / (2N)."""
         data, costs = random_problem(31, n=60, d=3, k=4)
         model, trace = train(data, costs, TrainConfig(rounds=10, fit_a0=False))
         floor, _ = loss_floor(costs, data.labels)
@@ -172,7 +195,7 @@ class TestTrainingInvariants:
         for (learner, vector), record in zip(model.rounds, trace.rounds):
             out = learner.evaluate(data.features)
             value = split_value(accumulate_split(out, w), vector)
-            assert floor + value - floor == pytest.approx(record.loss, abs=1e-12)
+            assert value == pytest.approx(record.loss, abs=1e-12)
             update_weights(w, out, vector)
 
     def test_binary_uniform_scores_antisymmetric(self):

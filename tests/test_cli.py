@@ -7,6 +7,7 @@ import pytest
 import rebel.cli as cli
 from rebel.boost import NumericOverflowError
 from rebel.io import load_model
+from rebel.synth import random_mixture_spec
 
 
 def run(argv):
@@ -141,6 +142,41 @@ def test_workers_default_to_one_whatever_the_environment(monkeypatch):
     monkeypatch.setenv("REBEL_WORKERS", "4")
     for pooled in (["compare", "--out", "c.csv"], ["oracle-check"]):
         assert cli.build_parser().parse_args(pooled).workers == 1
+
+
+@pytest.mark.parametrize("flag", ["--k", "--clusters", "--train-total", "--test-total", "--seed"])
+def test_synth_spec_with_a_mixture_flag_exits_2(tmp_path, capsys, flag):
+    """A spec file gives the whole mixture, so a flag that draws a random one
+    is refused, not ignored; the spec alone, and the flag alone, still run."""
+    spec = tmp_path / "mix.spec"
+    spec.write_text("k=3\nclusters_per_class=1\ntrain_total=30\ntest_total=12\nseed=4\n")
+    out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
+    assert run(["synth", "--spec", spec, flag, 5] + out) == 2
+    assert "--spec gives the whole mixture" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+    assert run(["synth", "--spec", spec] + out) == 0
+    assert "30 train / 12 test samples, k=3" in capsys.readouterr().out
+    assert run(["synth", flag, 5] + out) == 0
+    capsys.readouterr()
+
+
+def test_synth_flags_left_unset_take_the_generator_defaults(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "random_mixture_spec",
+                        lambda **kw: seen.append(kw) or random_mixture_spec(**kw))
+    out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
+    assert run(["synth"] + out) == 0
+    assert run(["synth", "--clusters", 1, "--test-total", 20] + out) == 0
+    assert seen == [{}, {"clusters_per_class": 1, "test_total": 20}]
+    assert "1000 train / 20 test samples, k=4" in capsys.readouterr().out
+
+
+def test_val_labels_without_val_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.txt"
+    assert run(["train", "--data", _three_class_train(tmp_path), "--labels", "col:-1",
+                "--rounds", 3, "--out", model, "--val-labels", "col:-1"]) == 2
+    assert "--val-labels needs --val" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
