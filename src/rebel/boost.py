@@ -187,8 +187,8 @@ class TrainConfig:
             raise ValueError("tree_depth must be >= 1")
         if self.n_tau < 1:
             raise ValueError("n_tau must be >= 1")
-        if self.epsilon is not None and not (self.epsilon >= 0):
-            raise ValueError("epsilon must be >= 0")
+        if self.epsilon is not None and not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and >= 0")
 
 
 @dataclass

@@ -6,18 +6,17 @@ input or flags, 3 numeric-range abort during training.
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 
 import numpy as np
 
 from .baselines import run_reduction_trial
-from .boost import NumericOverflowError, TrainConfig, predict_all, train
+from .boost import NumericOverflowError, TrainConfig, train
 from .costs import CostMatrix
 from .evaluation import report_text, select_rounds
 from .io import (load_cost_matrix, load_dataset, load_features, load_model, save_cost_matrix,
                  save_dataset, save_model, write_trace)
-from .loss import empirical_risk
 from .synth import (gen_cost_matrix, gen_dataset, parse_spec_file, pool_map,
                     random_mixture_spec, run_comparison, win_fraction, write_comparison_csv)
 
@@ -31,6 +30,15 @@ def _load_costs(path: str | None, k: int) -> CostMatrix:
     if costs.k != k:
         raise ValueError(f"cost matrix has {costs.k} classes, dataset has {k}")
     return costs
+
+
+def _write_out(text: str, path: str | None) -> None:
+    """Write `text` to `path`, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_train(args) -> int:
@@ -79,11 +87,7 @@ def cmd_predict(args) -> int:
     cells = np.concatenate((preds[:, None], scores), axis=1, dtype=object)
     text = ("pred," + ",".join(f"score_{i}" for i in range(1, model.k + 1)) + "\n"
             + ("%d" + ",%r" * model.k + "\n") * len(cells) % tuple(cells.ravel().tolist()))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(text, args.out)
     return 0
 
 
@@ -91,12 +95,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, args.labels)
     costs = _load_costs(args.costs, data.k)
-    text = report_text(model, data, costs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_out(report_text(model, data, costs) + "\n", args.out)
     return 0
 
 
@@ -108,6 +107,8 @@ def cmd_synth(args) -> int:
     if args.spec and drawn:
         raise ValueError("--spec gives the whole mixture; --k, --clusters, --train-total, "
                          "--test-total and --seed draw a random one instead")
+    if args.cost_seed is not None and not args.out_costs:
+        raise ValueError("--cost-seed needs --out-costs")
     spec = parse_spec_file(args.spec) if args.spec else random_mixture_spec(**drawn)
     train_data, test_data = gen_dataset(spec)
     save_dataset(train_data, args.out_train)
@@ -115,33 +116,29 @@ def cmd_synth(args) -> int:
     print(f"wrote {train_data.labels.shape[0]} train / {test_data.labels.shape[0]} test "
           f"samples, k={spec.k}")
     if args.out_costs:
-        costs = gen_cost_matrix(spec.k, args.cost_seed, labels=train_data.labels)
+        costs = gen_cost_matrix(spec.k, args.cost_seed or 0, labels=train_data.labels)
         save_cost_matrix(costs, args.out_costs)
         print(f"wrote normalized cost matrix to {args.out_costs}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    modes = {"on": [True], "off": [False], "both": [True, False]}[args.a0_mode]
-    for fit_a0 in modes:
-        rows = run_comparison(n_datasets=args.datasets, n_matrices=args.matrices,
-                        rounds=args.rounds, depth=args.depth, seed=args.seed,
-                        fit_a0=fit_a0, workers=args.workers)
-        path = args.out
-        if not fit_a0 and args.a0_mode == "both":
-            base, ext = os.path.splitext(args.out)
-            path = base + ".noa0" + (ext or ".csv")
-        write_comparison_csv(rows, path)
-        tag = "a0 on" if fit_a0 else "a0 off"
-        print(f"[{tag}] {len(rows)} trials, rebel win fraction {win_fraction(rows):.3f} -> {path}")
+    rows = run_comparison(n_datasets=args.datasets, n_matrices=args.matrices,
+                          rounds=args.rounds, depth=args.depth, seed=args.seed,
+                          fit_a0=not args.no_a0, workers=args.workers)
+    write_comparison_csv(rows, args.out)
+    tag = "a0 off" if args.no_a0 else "a0 on"
+    print(f"[{tag}] {len(rows)} trials, rebel win fraction {win_fraction(rows):.3f} -> {args.out}")
     return 0
 
 
 def cmd_oracle_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     seeds = np.random.default_rng(args.seed).integers(1, 2 ** 31, size=args.trials)
-    jobs = [(int(s), args.n, args.d, args.rounds, args.ntau, args.debug_epsilon_scale)
-            for s in seeds]
-    results = pool_map(_oracle_job, jobs, args.workers)
+    trial = functools.partial(run_reduction_trial, n=args.n, d=args.d, rounds=args.rounds,
+                              n_tau=args.ntau, epsilon_scale=args.debug_epsilon_scale)
+    results = pool_map(trial, [int(s) for s in seeds], args.workers)
 
     failures = 0
     for r in results:
@@ -158,12 +155,6 @@ def cmd_oracle_check(args) -> int:
         return 1
     print(f"oracle check passed on {len(results)} trials")
     return 0
-
-
-def _oracle_job(job):
-    seed, n, d, rounds, n_tau, eps_scale = job
-    return run_reduction_trial(seed, n=n, d=d, rounds=rounds, n_tau=n_tau,
-                               epsilon_scale=eps_scale)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--train-total", type=int)
     s.add_argument("--test-total", type=int)
     s.add_argument("--seed", type=int)
-    s.add_argument("--cost-seed", type=int, default=0)
+    s.add_argument("--cost-seed", type=int, help="seed of the --out-costs matrix (default 0)")
     s.add_argument("--out-train", required=True)
     s.add_argument("--out-test", required=True)
     s.add_argument("--out-costs", help="also write a normalized random cost matrix")
@@ -228,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--rounds", type=int, default=100)
     f.add_argument("--depth", type=int, default=1)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--a0-mode", choices=["on", "off", "both"], default="both",
-                   help="constant-offset fit variants to run")
+    f.add_argument("--no-a0", action="store_true", help="skip the constant-offset fit")
     f.add_argument("--out", required=True, help="trial CSV path")
     f.set_defaults(func=cmd_compare)
 

@@ -265,116 +265,110 @@ def save_model(model: StrongClassifier, path) -> None:
 
 
 class _LineReader:
+    """A model text's lines, read in order.  An error names the byte offset of
+    a line's start, counted only when the error is made."""
+
     def __init__(self, text: str):
         self.lines = text.split("\n")
-        self.pos = 0
-        self.offset = 0  # byte offset of the current line start
+        self.at = -1  # index of the line last read
 
-    def next(self, what: str) -> tuple[str, int]:
-        if self.pos >= len(self.lines):
-            raise ModelParseError(f"unexpected end of file, wanted {what}", self.offset)
-        line = self.lines[self.pos]
-        self.pos += 1
-        start = self.offset
-        self.offset += len(line.encode("utf-8")) + 1
-        return line, start
+    def error(self, message: str, at: int | None = None) -> ModelParseError:
+        """The error at line `at` (default: the line last read)."""
+        at = self.at if at is None else at
+        return ModelParseError(message, sum(len(l.encode("utf-8")) + 1 for l in self.lines[:at]))
+
+    def next(self, what: str) -> str:
+        self.at += 1
+        if self.at >= len(self.lines):
+            raise self.error(f"unexpected end of file, wanted {what}")
+        return self.lines[self.at]
+
+    def fields(self, key: str, count: int | None = None) -> list[str]:
+        """The fields after `key` on the next line, `count` of them if given.
+        The one-field lines hold an integer, named `'key N'` in the error."""
+        line = self.next(key)
+        parts = line.split()
+        if not parts or parts[0] != key or count is not None and len(parts) != count + 1:
+            want = f"'{key} N'" if count == 1 else f"{key} line"
+            raise self.error(f"expected {want}, got {line!r}")
+        return parts[1:]
+
+    def integer(self, key: str) -> int:
+        (field,) = self.fields(key, 1)
+        try:
+            return int(field)
+        except ValueError:
+            raise self.error(f"bad integer in {self.lines[self.at]!r}") from None
+
+    def floats(self, key: str, count: int) -> np.ndarray:
+        parts = self.fields(key)
+        if len(parts) != count:
+            raise self.error(f"{key}: expected {count} values, got {len(parts)}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            raise self.error(f"{key}: bad float") from None
+        if not all(map(math.isfinite, vals)):
+            raise self.error(f"{key}: non-finite value")
+        return np.array(vals)
 
     def done(self) -> None:
-        while self.pos < len(self.lines):
-            line, start = self.next("end of file")
-            if line.strip():
-                raise ModelParseError(f"trailing content {line!r} after end", start)
-
-
-def _parse_floats(parts: list[str], count: int, what: str, offset: int) -> np.ndarray:
-    if len(parts) != count:
-        raise ModelParseError(f"{what}: expected {count} values, got {len(parts)}", offset)
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise ModelParseError(f"{what}: bad float", offset) from None
-    if not all(map(math.isfinite, vals)):
-        raise ModelParseError(f"{what}: non-finite value", offset)
-    return np.array(vals)
+        for at in range(self.at + 1, len(self.lines)):
+            if self.lines[at].strip():
+                raise self.error(f"trailing content {self.lines[at]!r} after end", at)
 
 
 def model_from_text(text: str) -> StrongClassifier:
     rd = _LineReader(text)
 
-    line, off = rd.next("header")
+    line = rd.next("header")
     parts = line.split()
     if len(parts) != 2 or parts[0] != MODEL_MAGIC:
-        raise ModelParseError(f"not a model file (header {line!r})", off)
+        raise rd.error(f"not a model file (header {line!r})")
     if parts[1] != str(MODEL_VERSION):
-        raise ModelParseError(f"unsupported model version {parts[1]}", off)
+        raise rd.error(f"unsupported model version {parts[1]}")
 
-    def keyed_int(key: str) -> tuple[int, int]:
-        """The integer of a `key N` line, and the line's byte offset."""
-        line, off = rd.next(key)
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != key:
-            raise ModelParseError(f"expected '{key} N', got {line!r}", off)
-        try:
-            return int(parts[1]), off
-        except ValueError:
-            raise ModelParseError(f"bad integer in {line!r}", off) from None
-
-    k, k_off = keyed_int("k")
-    d, d_off = keyed_int("d")
+    k = rd.integer("k")
+    d = rd.integer("d")
     if k < 2 or d < 1:
-        raise ModelParseError(f"bad dimensions k={k} d={d}", k_off if k < 2 else d_off)
+        raise rd.error(f"bad dimensions k={k} d={d}", rd.at - 1 if k < 2 else rd.at)
 
-    line, off = rd.next("config")
+    line = rd.next("config")
     if not line.startswith("config"):
-        raise ModelParseError(f"expected config line, got {line!r}", off)
+        raise rd.error(f"expected config line, got {line!r}")
     fingerprint = line[7:] if len(line) > 7 else ""
 
-    line, off = rd.next("a0")
-    parts = line.split()
-    if not parts or parts[0] != "a0":
-        raise ModelParseError(f"expected a0 line, got {line!r}", off)
-    a0 = _parse_floats(parts[1:], k, "a0", off)
-
-    n_rounds, off = keyed_int("rounds")
+    a0 = rd.floats("a0", k)
+    n_rounds = rd.integer("rounds")
     if n_rounds < 0:
-        raise ModelParseError(f"negative round count {n_rounds}", off)
+        raise rd.error(f"negative round count {n_rounds}")
 
     rounds = []
     for _ in range(n_rounds):
-        depth, off = keyed_int("tree")
+        depth = rd.integer("tree")
         # 2^depth - 1 node lines must fit in the lines left; compared by bit
         # length, since 2 ** depth of a corrupt depth can take gigabytes
-        if depth < 1 or depth >= (len(rd.lines) - rd.pos + 1).bit_length():
-            raise ModelParseError(f"bad tree depth {depth}", off)
+        if depth < 1 or depth >= (len(rd.lines) - rd.at).bit_length():
+            raise rd.error(f"bad tree depth {depth}")
         nodes = []
         for _ in range(2 ** depth - 1):
-            line, off = rd.next("node")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "node":
-                raise ModelParseError(f"expected node line, got {line!r}", off)
+            feature, threshold, polarity = rd.fields("node", 3)
             try:
-                feature = int(parts[1])
-                threshold = float(parts[2])
-                polarity = int(parts[3])
+                feature, threshold, polarity = int(feature), float(threshold), int(polarity)
             except ValueError:
-                raise ModelParseError(f"bad node fields in {line!r}", off) from None
+                raise rd.error(f"bad node fields in {rd.lines[rd.at]!r}") from None
             if not 0 <= feature < d:
-                raise ModelParseError(f"node feature {feature} out of range", off)
+                raise rd.error(f"node feature {feature} out of range")
             if not math.isfinite(threshold):
-                raise ModelParseError("non-finite node threshold", off)
+                raise rd.error("non-finite node threshold")
             if polarity not in (1, -1):
-                raise ModelParseError(f"node polarity must be +-1, got {polarity}", off)
+                raise rd.error(f"node polarity must be +-1, got {polarity}")
             nodes.append(Stump(feature=feature, threshold=threshold, polarity=polarity))
-        line, off = rd.next("a")
-        parts = line.split()
-        if not parts or parts[0] != "a":
-            raise ModelParseError(f"expected a line, got {line!r}", off)
-        vector = _parse_floats(parts[1:], k, "a", off)
-        rounds.append((Tree(depth=depth, nodes=nodes), vector))
+        rounds.append((Tree(depth=depth, nodes=nodes), rd.floats("a", k)))
 
-    line, off = rd.next("end")
+    line = rd.next("end")
     if line != "end":
-        raise ModelParseError(f"expected end, got {line!r}", off)
+        raise rd.error(f"expected end, got {line!r}")
     rd.done()
     return StrongClassifier(k=k, d=d, a0=a0, rounds=rounds, fingerprint=fingerprint)
 

@@ -92,6 +92,9 @@ class TestTrainConfig:
             TrainConfig(rounds=5, n_tau=0).validate()
         with pytest.raises(ValueError):
             TrainConfig(rounds=5, epsilon=-1.0).validate()
+        for epsilon in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+                TrainConfig(rounds=5, epsilon=epsilon).validate()
 
 
 class TestTrainValidation:

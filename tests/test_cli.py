@@ -301,9 +301,63 @@ def test_overflow_exits_3(tmp_path, capsys, monkeypatch):
 def test_compare_tiny_run(tmp_path, capsys):
     out = tmp_path / "compare.csv"
     assert run(["compare", "--datasets", 1, "--matrices", 2, "--rounds", 5,
-                "--seed", 3, "--a0-mode", "both", "--out", out]) == 0
-    text = capsys.readouterr().out
-    assert "[a0 on]" in text and "[a0 off]" in text
-    assert out.exists() and (tmp_path / "compare.noa0.csv").exists()
+                "--seed", 3, "--out", out]) == 0
+    assert "[a0 on]" in capsys.readouterr().out
+    assert out.exists()
     header = out.read_text().split("\n", 1)[0]
     assert header == "trial_id,dataset_seed,cost_seed,rebel_risk,twostep_risk,winner"
+
+
+@pytest.mark.parametrize("flags, fit_a0, tag", [([], True, "a0 on"), (["--no-a0"], False, "a0 off")])
+def test_compare_fits_a0_unless_no_a0(tmp_path, monkeypatch, capsys, flags, fit_a0, tag):
+    """`compare` takes `train`'s `--no-a0`: one grid run, written to `--out` only."""
+    seen = []
+    rows = [{"trial_id": 0, "dataset_seed": 1, "cost_seed": 2, "rebel_risk": 0.25,
+             "twostep_risk": 0.5, "winner": "rebel"}]
+    monkeypatch.setattr(cli, "run_comparison", lambda **kw: seen.append(kw) or rows)
+    out = tmp_path / "c.csv"
+    assert run(["compare", "--out", out] + flags) == 0
+    assert [kw["fit_a0"] for kw in seen] == [fit_a0]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+    assert capsys.readouterr().out == f"[{tag}] 1 trials, rebel win fraction 1.000 -> {out}\n"
+
+
+def test_compare_has_no_a0_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["compare", "--out", "c.csv", "--a0-mode", "both"])
+    assert exc.value.code == 2
+    assert "--a0-mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_non_finite_epsilon_exits_2(tmp_path, capsys, epsilon):
+    """An infinite epsilon would zero every vector (0.5 * (log inf - log inf)
+    is nan, and nan is zeroed), so it is refused before a model is written."""
+    model = tmp_path / "m.txt"
+    assert run(["train", "--data", _three_class_train(tmp_path), "--labels", "col:-1",
+                "--rounds", 3, f"--epsilon={epsilon}", "--out", model]) == 2
+    assert "epsilon must be finite and >= 0" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_oracle_check_needs_a_trial(capsys, trials):
+    """A check over no trials checks nothing, so it is an input error, not a pass."""
+    assert run(["oracle-check", f"--trials={trials}"]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_synth_cost_seed_needs_out_costs(tmp_path, capsys):
+    """`--cost-seed` seeds only the `--out-costs` matrix, so alone it is refused;
+    `--out-costs` alone draws with seed 0."""
+    out = ["--k", 3, "--train-total", 30, "--test-total", 12, "--seed", 2,
+           "--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
+    assert run(["synth", "--cost-seed", 3] + out) == 2
+    assert "--cost-seed needs --out-costs" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+    assert run(["synth", "--out-costs", tmp_path / "c.csv"] + out) == 0
+    assert run(["synth", "--cost-seed", 0, "--out-costs", tmp_path / "c0.csv"] + out) == 0
+    capsys.readouterr()
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "c0.csv").read_bytes()

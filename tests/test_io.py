@@ -443,6 +443,14 @@ class TestModelFormat:
             model_from_text("\n".join(cut))
         assert exc.value.byte_offset == sum(len(line) + 1 for line in cut[:idx])
 
+    def test_offsets_count_bytes_not_characters(self):
+        """The config line's two-byte character moves the next line's offset by
+        two: 32 bytes, where a count of characters gives 31."""
+        text = "rebel-model 1\nk 2\nd 1\nconfig \xe9\na0 1.0\n"
+        with pytest.raises(ModelParseError, match="a0: expected 2 values, got 1") as exc:
+            model_from_text(text)
+        assert exc.value.byte_offset == 32
+
     def test_bad_dimensions_name_the_k_line_first(self):
         text = model_to_text(random_model(7, rounds=0))
         with pytest.raises(ModelParseError, match="bad dimensions") as exc:
