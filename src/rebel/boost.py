@@ -86,14 +86,14 @@ class StrongClassifier:
     rounds: list[tuple[Tree, np.ndarray]]
     fingerprint: str = ""
 
-    def _walk(self, features: np.ndarray) -> Iterator[np.ndarray]:
+    def _walk(self, features: np.ndarray, every_round: bool) -> Iterator[np.ndarray]:
         """Class-major (K, N) running scores: a0 first, then after each round.
 
         Yields one buffer, updated in place.  Each round adds a * out per
         sample, out in {-1.0, +1.0}: exact, with the signed zeros of +a and
         -a, and free of the per-element branch of a select.  Rounds are
-        added in order, one `np.add` each: a reordered sum (a matmul over
-        rounds, say) would change the low bits.
+        added in order, one elementwise add each: a reordered sum (a matmul
+        over rounds, say) would change the low bits.
 
         When a block of `BLOCK_ELEMS` holds at least `BLOCK_MIN_ROUNDS`
         rounds, the steps come a block at a time, in as few blocks of equal
@@ -102,8 +102,11 @@ class StrongClassifier:
         block's vectors.  A stump's polarity is folded into its vector, which
         is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
         outputs comes from `Tree.plus_side`.  The model is packed on every
-        call, so rounds appended later count.  Otherwise each round's step
-        is one 2-D multiply of its vector by its +-1 outputs.
+        call, so rounds appended later count.  With `every_round`, a block's
+        steps are added one `np.add` and one yield a round; without it, in
+        one ordered reduction, and the sum is yielded once a block.
+        Otherwise each round's step is one 2-D multiply of its vector by its
+        +-1 outputs, added and yielded round by round.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
@@ -133,14 +136,17 @@ class StrongClassifier:
         roots = [tree.nodes[0] for tree in trees]
         feature = np.array([root.feature for root in roots], dtype=np.intp)
         threshold = np.array([root.threshold for root in roots], dtype=np.float64)[:, None]
-        vectors = np.array([vector for _, vector in self.rounds], dtype=np.float64)
+        # a new array, so the polarity flip below leaves the model's vectors alone
+        vectors = np.concatenate([vector for _, vector in self.rounds],
+                                 dtype=np.float64).reshape(total, self.k)
         vectors[[t for t, tree in enumerate(trees)
                  if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
         deep = [t for t, tree in enumerate(trees) if tree.depth > 1]
         columns = by_column.T  # (d, N), C-contiguous
         values = np.empty((size, n))
         side = np.empty((size, n), dtype=bool)
-        steps = np.empty((size, self.k, n))
+        # row 0 holds the running sum, rows 1..b a block's steps
+        steps = np.empty((size + 1, self.k, n))
         for start in range(0, total, size):
             stop = min(start + size, total)
             b = stop - start
@@ -150,23 +156,33 @@ class StrongClassifier:
                 side[t - start] = trees[t].plus_side(by_column)
             np.multiply(side[:b], 2.0, values[:b])
             np.subtract(values[:b], 1.0, values[:b])
-            np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[:b])
-            for step in steps[:b]:
-                np.add(h, step, h)
-                yield h
+            np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[1:b + 1])
+            if every_round:
+                for step in steps[1:b + 1]:
+                    np.add(h, step, h)
+                    yield h
+                continue
+            # A reduction over the outer axis adds whole (K, N) rows in order,
+            # ((h + s1) + s2) + ..., one elementwise add each: the bits of the
+            # adds above.  (A row of one element would be summed pairwise; K
+            # is at least 2.)  It starts from `initial`, and -0.0 + x == x for
+            # every x, where NumPy's default +0.0 turns a -0.0 sum into +0.0.
+            steps[0] = h
+            np.add.reduce(steps[:b + 1], axis=0, out=h, initial=-0.0)
+            yield h
 
     def staged_scores(self, features: np.ndarray) -> Iterator[np.ndarray]:
         """(N, K) scores after each round, bit-identical to `scores` of each prefix.
 
         Each stage is a new C-contiguous array, as `scores` returns.
         """
-        stages = self._walk(features)
+        stages = self._walk(features, every_round=True)
         next(stages)
         for h in stages:
             yield h.T.copy()  # C order; ascontiguousarray would return a view when N or K is 1
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        for h in self._walk(features):
+        for h in self._walk(features, every_round=False):
             pass
         return np.ascontiguousarray(h.T)
 

@@ -333,10 +333,11 @@ def model_from_text(text: str) -> StrongClassifier:
     if k < 2 or d < 1:
         raise rd.error(f"bad dimensions k={k} d={d}", rd.at - 1 if k < 2 else rd.at)
 
+    # `config`, a space and the fingerprint as written, or a bare `config`
     line = rd.next("config")
-    if not line.startswith("config"):
+    key, _, fingerprint = line.partition(" ")
+    if key != "config":
         raise rd.error(f"expected config line, got {line!r}")
-    fingerprint = line[7:] if len(line) > 7 else ""
 
     a0 = rd.floats("a0", k)
     n_rounds = rd.integer("rounds")

@@ -181,7 +181,9 @@ def run_comparison(n_datasets: int = 10, n_matrices: int = 20, rounds: int = 100
 
 def pool_map(fn, jobs: list, workers: int) -> list:
     """[fn(job) for job in jobs], in job order; in `workers` processes when workers > 1."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:

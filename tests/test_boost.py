@@ -503,6 +503,10 @@ class TestScoringWalk:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_long_model_and_rows())
+    # a -0.0 score plus a -0.0 step stays -0.0; a reduction started from
+    # +0.0 would give +0.0
+    @example(case=(StrongClassifier(k=2, d=1, a0=np.array([-0.0, -1.0]), rounds=[
+        (Tree.from_stump(Stump(0, 0.0, 1)), np.array([-0.0, -0.0]))]), np.array([[1.0]]), 2))
     def test_blocks_of_few_rounds_match_round_order_sum(self, case):
         """Blocks of 1-3 rounds, the last one often partial: every stage is
         still the round-order sum of its prefix."""
@@ -518,6 +522,28 @@ class TestScoringWalk:
         assert len(stages) == len(model.rounds)
         for stage, expected in zip(stages, want[1:]):
             assert stage.tobytes() == expected.tobytes()
+
+    def test_served_batch_takes_the_block_path_in_round_order(self):
+        """The benchmark's batch shape at the default block constants: 64 rows
+        and 300 rounds at K=5 make two blocks of 150.  Stumps of both
+        polarities, with a few depth-2 and depth-6 trees among them, sum to
+        the round-order scores, and so does the last stage."""
+        rng = np.random.default_rng(16)
+        n, d, k = 64, 20, 5
+        model = StrongClassifier(k=k, d=d, a0=rng.normal(size=k), rounds=[])
+        for t in range(300):
+            depth = 6 if t % 97 == 50 else 2 if t % 41 == 7 else 1
+            nodes = [Stump(int(rng.integers(0, d)), float(rng.normal()),
+                           int(rng.choice([-1, 1]))) for _ in range(2 ** depth - 1)]
+            model.rounds.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
+        depths = [tree.depth for tree, _ in model.rounds]
+        assert sorted(set(depths)) == [1, 2, 6]
+        assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
+        assert boost.BLOCK_ELEMS // (k * n) >= boost.BLOCK_MIN_ROUNDS
+        rows = rng.normal(size=(n, d))
+        want = round_order_scores(model, rows).tobytes()
+        assert model.scores(rows).tobytes() == want
+        assert list(model.staged_scores(rows))[-1].tobytes() == want
 
     def test_scoring_memory_stays_within_one_block_of_the_walk(self):
         """Scoring `rebel predict`'s benchmark shape (10k x 20, 300 stumps,

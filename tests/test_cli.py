@@ -349,6 +349,21 @@ def test_oracle_check_needs_a_trial(capsys, trials):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("command", [["compare", "--datasets", 1, "--matrices", 1, "--rounds", 2],
+                                     ["oracle-check", "--trials", 1, "--rounds", 2, "--n", 20,
+                                      "--d", 2]])
+def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
+    """A worker count below 1 is an input error, not a serial run."""
+    out = tmp_path / "c.csv"
+    argv = command + (["--out", out] if command[0] == "compare" else [])
+    assert run(argv + [f"--workers={workers}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: workers must be >= 1, got {workers}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_synth_cost_seed_needs_out_costs(tmp_path, capsys):
     """`--cost-seed` seeds only the `--out-costs` matrix, so alone it is refused;
     `--out-costs` alone draws with seed 0."""

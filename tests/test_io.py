@@ -451,6 +451,17 @@ class TestModelFormat:
             model_from_text(text)
         assert exc.value.byte_offset == 32
 
+    @pytest.mark.parametrize("line", ["configXabc", "config\tabc", "configuration"])
+    def test_config_key_needs_a_space_or_the_line_end(self, line):
+        """Only `config` and a space, or a bare `config`, open the config line;
+        a fingerprint read past another character would not round-trip."""
+        text = "rebel-model 1\nk 2\nd 1\nconfig abc\na0 1.0 2.0\nrounds 0\nend\n"
+        assert model_from_text(text).fingerprint == "abc"
+        assert model_from_text(text.replace("config abc", "config")).fingerprint == ""
+        with pytest.raises(ModelParseError, match="expected config line") as exc:
+            model_from_text(text.replace("config abc", line))
+        assert exc.value.byte_offset == len("rebel-model 1\nk 2\nd 1\n")
+
     def test_bad_dimensions_name_the_k_line_first(self):
         text = model_to_text(random_model(7, rounds=0))
         with pytest.raises(ModelParseError, match="bad dimensions") as exc:

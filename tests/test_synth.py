@@ -123,6 +123,11 @@ class TestHarness:
         pooled = run_comparison(n_datasets=2, n_matrices=2, rounds=3, seed=6, workers=2)
         assert serial == pooled
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_is_refused(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_comparison(n_datasets=1, n_matrices=1, rounds=2, seed=3, workers=workers)
+
     def test_csv_header_pinned(self, tmp_path):
         rows = run_comparison(n_datasets=1, n_matrices=1, rounds=2, seed=3)
         path = tmp_path / "out.csv"
