@@ -87,7 +87,8 @@ class StrongClassifier:
     fingerprint: str = ""
 
     def _walk(self, features: np.ndarray, every_round: bool) -> Iterator[np.ndarray]:
-        """Class-major (K, N) running scores: a0 first, then after each round.
+        """Class-major (K, N) running scores: a0 first, then after each round,
+        or after each block of rounds on the block path without `every_round`.
 
         Yields one buffer, updated in place.  Each round adds a * out per
         sample, out in {-1.0, +1.0}: exact, with the signed zeros of +a and
@@ -102,11 +103,10 @@ class StrongClassifier:
         block's vectors.  A stump's polarity is folded into its vector, which
         is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
         outputs comes from `Tree.plus_side`.  The model is packed on every
-        call, so rounds appended later count.  With `every_round`, a block's
-        steps are added one `np.add` and one yield a round; without it, in
-        one ordered reduction, and the sum is yielded once a block.
-        Otherwise each round's step is one 2-D multiply of its vector by its
-        +-1 outputs, added and yielded round by round.
+        call, so rounds appended later count.  With `every_round` a block's
+        steps are added and yielded one round at a time; without it they are
+        added in one ordered reduction.  Otherwise each round's step is one
+        2-D multiply of its vector by its +-1 outputs.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
@@ -157,15 +157,15 @@ class StrongClassifier:
             np.multiply(side[:b], 2.0, values[:b])
             np.subtract(values[:b], 1.0, values[:b])
             np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[1:b + 1])
-            if every_round:
+            # a row of one score would be reduced pairwise, out of round order
+            if every_round or h.size == 1:
                 for step in steps[1:b + 1]:
                     np.add(h, step, h)
                     yield h
                 continue
             # A reduction over the outer axis adds whole (K, N) rows in order,
             # ((h + s1) + s2) + ..., one elementwise add each: the bits of the
-            # adds above.  (A row of one element would be summed pairwise; K
-            # is at least 2.)  It starts from `initial`, and -0.0 + x == x for
+            # adds above.  It starts from `initial`, and -0.0 + x == x for
             # every x, where NumPy's default +0.0 turns a -0.0 sum into +0.0.
             steps[0] = h
             np.add.reduce(steps[:b + 1], axis=0, out=h, initial=-0.0)

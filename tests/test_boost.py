@@ -507,6 +507,10 @@ class TestScoringWalk:
     # +0.0 would give +0.0
     @example(case=(StrongClassifier(k=2, d=1, a0=np.array([-0.0, -1.0]), rounds=[
         (Tree.from_stump(Stump(0, 0.0, 1)), np.array([-0.0, -0.0]))]), np.array([[1.0]]), 2))
+    # one class and one row: a pairwise sum would keep the 1.0 steps that the
+    # round-order sum rounds away against 1e16
+    @example(case=(StrongClassifier(k=1, d=1, a0=np.array([1e16]), rounds=[
+        (Tree.from_stump(Stump(0, 0.0, 1)), np.array([1.0]))] * 16), np.array([[1.0]]), 16))
     def test_blocks_of_few_rounds_match_round_order_sum(self, case):
         """Blocks of 1-3 rounds, the last one often partial: every stage is
         still the round-order sum of its prefix."""
@@ -536,8 +540,7 @@ class TestScoringWalk:
             nodes = [Stump(int(rng.integers(0, d)), float(rng.normal()),
                            int(rng.choice([-1, 1]))) for _ in range(2 ** depth - 1)]
             model.rounds.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
-        depths = [tree.depth for tree, _ in model.rounds]
-        assert sorted(set(depths)) == [1, 2, 6]
+        assert sorted({tree.depth for tree, _ in model.rounds}) == [1, 2, 6]
         assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
         assert boost.BLOCK_ELEMS // (k * n) >= boost.BLOCK_MIN_ROUNDS
         rows = rng.normal(size=(n, d))
