@@ -141,7 +141,7 @@ def run_reduction_trial(seed: int, n: int = 200, d: int = 5, rounds: int = 50,
                          epsilon=epsilon_scale * 0.5)
 
     stump_mismatches = 0
-    coeff_gap = 0.0
+    coeff_gaps = []
     paired = 0
     for (tree, vector), (ada_tree, ada_vector) in zip(model.rounds, ada.rounds):
         root, stump = tree.nodes[0], ada_tree.nodes[0]
@@ -150,7 +150,7 @@ def run_reduction_trial(seed: int, n: int = 200, d: int = 5, rounds: int = 50,
             stump_mismatches += 1
             continue
         alpha = stump.polarity * float(ada_vector[0])
-        coeff_gap = max(coeff_gap, abs(float(vector[0]) - alpha))
+        coeff_gaps.append(abs(float(vector[0]) - alpha))
 
     h = model.scores(data.features)
     symmetry_gap = float(np.max(np.abs(h[:, 0] + h[:, 1]))) if h.size else 0.0
@@ -158,6 +158,7 @@ def run_reduction_trial(seed: int, n: int = 200, d: int = 5, rounds: int = 50,
         "seed": seed,
         "rounds_compared": paired,
         "stump_mismatches": stump_mismatches,
-        "coeff_gap": coeff_gap,
+        # np.max keeps a nan gap, where Python's max(0.0, nan) would drop it
+        "coeff_gap": float(np.max(coeff_gaps, initial=0.0)),
         "symmetry_gap": symmetry_gap,
     }

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from operator import is_
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -76,15 +77,57 @@ class NumericOverflowError(RuntimeError):
         super().__init__(f"weight overflow (> {OVERFLOW_LIMIT:g}) in round {round_index}")
 
 
+class _Pack(NamedTuple):
+    """The block path's arrays, read from the (tree, vector) pairs in `rounds`."""
+
+    rounds: tuple[tuple[Tree, np.ndarray], ...]
+    feature: np.ndarray  # (T,) each root's feature
+    threshold: np.ndarray  # (T, 1) each root's threshold
+    vectors: np.ndarray  # (T, K), a stump's polarity folded in
+    deep: list[int]  # rounds whose tree is deeper than a stump, in order
+
+
 @dataclass
 class StrongClassifier:
-    """Additive model: scores(x) = a0 + sum_t f_t(x) * a_t, class = argmax score."""
+    """Additive model: scores(x) = a0 + sum_t f_t(x) * a_t, class = argmax score.
+
+    A round's tree and vector are read when the model is first scored with
+    them, and the block path keeps what it read while `rounds` holds the same
+    pairs (the same objects).  So change a model by appending, replacing or
+    removing pairs, or by assigning a new list, not by editing a pair's tree
+    or vector in place.
+    """
 
     k: int
     d: int
     a0: np.ndarray
     rounds: list[tuple[Tree, np.ndarray]]
     fingerprint: str = ""
+    # key and arrays in one object, so that a concurrent caller reads a pack
+    # with its own key
+    _pack: _Pack | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _packed(self) -> _Pack:
+        """The block path's arrays for the current rounds, packed once per set of pairs.
+
+        Pairs are compared by identity: `==` on a pair would compare its
+        vectors elementwise.
+        """
+        pack, rounds = self._pack, self.rounds
+        if (pack is not None and len(pack.rounds) == len(rounds)
+                and all(map(is_, pack.rounds, rounds))):
+            return pack
+        roots = [tree.nodes[0] for tree, _ in rounds]
+        feature = np.array([root.feature for root in roots], dtype=np.intp)
+        threshold = np.array([root.threshold for root in roots], dtype=np.float64)[:, None]
+        # a new array, so the polarity flip below leaves the model's vectors alone
+        vectors = np.concatenate([vector for _, vector in rounds],
+                                 dtype=np.float64).reshape(len(rounds), self.k)
+        vectors[[t for t, (tree, _) in enumerate(rounds)
+                 if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
+        deep = [t for t, (tree, _) in enumerate(rounds) if tree.depth > 1]
+        self._pack = pack = _Pack(tuple(rounds), feature, threshold, vectors, deep)
+        return pack
 
     def _walk(self, features: np.ndarray, every_round: bool) -> Iterator[np.ndarray]:
         """Class-major (K, N) running scores: a0 first, then after each round,
@@ -102,11 +145,15 @@ class StrongClassifier:
         the block's root stumps, exact +-1 signs and one multiply by the
         block's vectors.  A stump's polarity is folded into its vector, which
         is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
-        outputs comes from `Tree.plus_side`.  The model is packed on every
-        call, so rounds appended later count.  With `every_round` a block's
-        steps are added and yielded one round at a time; without it they are
-        added in one ordered reduction.  Otherwise each round's step is one
-        2-D multiply of its vector by its +-1 outputs.
+        outputs comes from `Tree.plus_side`.  The roots, thresholds, folded
+        vectors and deep-tree indices come from `_packed`, read once per set
+        of pairs and kept while the model holds the same pairs, so a model
+        scored again skips that walk over its trees, and pairs appended or
+        replaced later are read on the next call; the buffers are per call.
+        With `every_round` a block's steps are added and yielded one round
+        at a time; without it they are added in one ordered reduction.
+        Otherwise each round's step is one 2-D multiply of its vector by
+        its +-1 outputs.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
@@ -132,16 +179,8 @@ class StrongClassifier:
         # holds rounds its block lacks
         blocks = -(-total // size)
         size = -(-total // blocks)
-        trees = [tree for tree, _ in self.rounds]
-        roots = [tree.nodes[0] for tree in trees]
-        feature = np.array([root.feature for root in roots], dtype=np.intp)
-        threshold = np.array([root.threshold for root in roots], dtype=np.float64)[:, None]
-        # a new array, so the polarity flip below leaves the model's vectors alone
-        vectors = np.concatenate([vector for _, vector in self.rounds],
-                                 dtype=np.float64).reshape(total, self.k)
-        vectors[[t for t, tree in enumerate(trees)
-                 if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
-        deep = [t for t, tree in enumerate(trees) if tree.depth > 1]
+        pack = self._packed()
+        feature, threshold, vectors, deep = pack.feature, pack.threshold, pack.vectors, pack.deep
         columns = by_column.T  # (d, N), C-contiguous
         values = np.empty((size, n))
         side = np.empty((size, n), dtype=bool)
@@ -153,7 +192,7 @@ class StrongClassifier:
             columns.take(feature[start:stop], 0, values[:b])
             np.greater(values[:b], threshold[start:stop], side[:b])
             for t in deep[bisect_left(deep, start):bisect_left(deep, stop)]:
-                side[t - start] = trees[t].plus_side(by_column)
+                side[t - start] = pack.rounds[t][0].plus_side(by_column)
             np.multiply(side[:b], 2.0, values[:b])
             np.subtract(values[:b], 1.0, values[:b])
             np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[1:b + 1])

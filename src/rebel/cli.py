@@ -135,6 +135,8 @@ def cmd_compare(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if not 0 <= args.debug_epsilon_scale < np.inf:
+        raise ValueError("--debug-epsilon-scale must be finite and >= 0")
     seeds = np.random.default_rng(args.seed).integers(1, 2 ** 31, size=args.trials)
     trial = functools.partial(run_reduction_trial, n=args.n, d=args.d, rounds=args.rounds,
                               n_tau=args.ntau, epsilon_scale=args.debug_epsilon_scale)

@@ -58,6 +58,15 @@ class TestReduction:
                 diverged = True
         assert diverged
 
+    def test_nan_coefficient_gap_is_reported(self):
+        """A nan smoothing makes every AdaBoost coefficient nan.  The first
+        round's stumps still agree (its search does not read epsilon), so
+        its gap is nan, and the trial reports nan, not the 0.0 that
+        `max(0.0, nan)` would keep."""
+        result = run_reduction_trial(11, n=20, d=2, rounds=20, epsilon_scale=float("nan"))
+        assert result["rounds_compared"] > result["stump_mismatches"]
+        assert np.isnan(result["coeff_gap"])
+
 
 class TestTwoStep:
     def test_asymmetric_costs_flip_decision(self):

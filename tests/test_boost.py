@@ -623,9 +623,40 @@ class TestScoringWalk:
             assert list(model.staged_scores(rows))[-1].tobytes() == want
 
     def test_model_grown_after_construction_is_scored_in_full(self):
-        """Scoring packs nothing ahead of the call, so appended rounds count."""
+        """A round appended after the model was built and scored counts.  One
+        round takes the per-round path; the block path's pack is tested in
+        `test_rescoring_reads_the_pairs_the_model_holds`."""
         model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
         x = np.array([[1.0]])
         np.testing.assert_array_equal(model.scores(x), [[0.0, 0.0]])
         model.rounds.append((Tree.from_stump(Stump(0, 0.0, 1)), np.array([-1.0, 1.0])))
         np.testing.assert_array_equal(model.scores(x), [[-1.0, 1.0]])
+
+    @pytest.mark.parametrize("edit", ["none", "append", "replace", "new list"])
+    def test_rescoring_reads_the_pairs_the_model_holds(self, edit):
+        """The block path packs a model's pairs on its first call and keeps
+        the pack while the model holds the same pairs.  A second call gives
+        the same sums, so the polarity fold went into the pack once; a pair
+        appended, a pair replaced by a new tuple and a new `rounds` list are
+        all read on the next call; and `staged_scores` after `scores` gives
+        every stage in round order."""
+        from conftest import random_model
+        n, d, k = 20, 4, 3
+        model = random_model(17, k=k, d=d, rounds=2 * boost.BLOCK_MIN_ROUNDS)
+        assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
+        assert boost.BLOCK_ELEMS // (k * n) >= len(model.rounds)
+        rows = np.random.default_rng(17).normal(size=(n, d))
+        assert model.scores(rows).tobytes() == round_order_scores(model, rows).tobytes()
+        other = random_model(18, k=k, d=d, depth=2, rounds=len(model.rounds))
+        if edit == "append":
+            model.rounds.append(other.rounds[0])
+        elif edit == "replace":
+            model.rounds[3] = (other.rounds[0][0], model.rounds[3][1])
+        elif edit == "new list":
+            model.rounds = other.rounds
+        want = list(round_order_stages(model, rows))
+        assert model.scores(rows).tobytes() == want[-1].tobytes()
+        stages = list(model.staged_scores(rows))
+        assert len(stages) == len(model.rounds)
+        for stage, expected in zip(stages, want[1:]):
+            assert stage.tobytes() == expected.tobytes()

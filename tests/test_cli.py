@@ -349,6 +349,17 @@ def test_oracle_check_needs_a_trial(capsys, trials):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+def test_bad_debug_epsilon_scale_exits_2(capsys, monkeypatch, scale):
+    """The smoothing's scale follows --epsilon's rule, checked before any trial runs."""
+    monkeypatch.setattr(cli, "pool_map", lambda *a, **kw: pytest.fail("a trial ran"))
+    assert run(["oracle-check", "--trials", 1, "--rounds", 20, "--n", 20, "--d", 2,
+                f"--debug-epsilon-scale={scale}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --debug-epsilon-scale must be finite and >= 0\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 @pytest.mark.parametrize("command", [["compare", "--datasets", 1, "--matrices", 1, "--rounds", 2],
                                      ["oracle-check", "--trials", 1, "--rounds", 2, "--n", 20,
