@@ -14,7 +14,7 @@ import numpy as np
 
 from .boost import StrongClassifier, TrainConfig, train
 from .costs import CostMatrix
-from .weak import SELECTION_SLACK, Stump, Tree, build_grid, cut_sums, first_within_slack
+from .weak import SELECTION_SLACK, Stump, Tree, build_grid, class_sum, cut_sums, first_within_slack
 
 if TYPE_CHECKING:
     from .io import Dataset
@@ -101,11 +101,15 @@ def posterior_all(model: StrongClassifier, features: np.ndarray) -> np.ndarray:
 
 
 def two_step_predict_all(posteriors: np.ndarray, costs: CostMatrix) -> np.ndarray:
-    """Minimum expected cost class per row of estimated posteriors, 1-based (ties to lowest index)."""
+    """Minimum expected cost class per row of estimated posteriors, 1-based (ties to lowest index).
+
+    Row n's expected cost of predicting k is sum_y p[n, y] * C[y, k], added in
+    class order.
+    """
     posteriors = np.asarray(posteriors, dtype=np.float64)
     if posteriors.ndim != 2 or posteriors.shape[1] != costs.k:
         raise ValueError(f"posteriors must be an (N, {costs.k}) array")
-    return np.argmin(posteriors @ costs.entries, axis=1) + 1
+    return np.argmin(class_sum(posteriors.T[:, :, None], costs.entries), axis=1) + 1
 
 
 # --- binary reduction checker --------------------------------------------

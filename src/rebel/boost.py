@@ -87,9 +87,11 @@ class _Pack(NamedTuple):
     deep: list[int]  # rounds whose tree is deeper than a stump, in order
 
 
-@dataclass
+@dataclass(eq=False)
 class StrongClassifier:
     """Additive model: scores(x) = a0 + sum_t f_t(x) * a_t, class = argmax score.
+
+    `==` is identity: compare two models by their text (`io.model_to_text`).
 
     A round's tree and vector are read when the model is first scored with
     them, and the block path keeps what it read while `rounds` holds the same
@@ -105,7 +107,7 @@ class StrongClassifier:
     fingerprint: str = ""
     # key and arrays in one object, so that a concurrent caller reads a pack
     # with its own key
-    _pack: _Pack | None = field(default=None, init=False, repr=False, compare=False)
+    _pack: _Pack | None = field(default=None, init=False, repr=False)
 
     def _packed(self) -> _Pack:
         """The block path's arrays for the current rounds, packed once per set of pairs.

@@ -98,17 +98,27 @@ def dataset_terms(costs: CostMatrix, labels: np.ndarray):
     last two (N,) arrays indexed like `labels`; phi is each sample's row
     maximum, so C_plus + C_minus = phi in every class.
     """
+    idx = _label_index(costs, labels)
+    return tuple(term[idx] for term in _class_terms(costs))
+
+
+def _label_index(costs: CostMatrix, labels: np.ndarray) -> np.ndarray:
+    """0-based class index of each label, after checking the labels' shape and range."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-D array")
     if labels.min() < 1 or labels.max() > costs.k:
         raise ValueError("labels out of range for cost matrix")
-    rows = costs.entries  # (K, K)
+    return labels - 1
+
+
+def _class_terms(costs: CostMatrix):
+    """`dataset_terms` per true class: (C_plus, C_minus) (K, K), (c_star, phi) (K,)."""
+    rows = costs.entries
     phi = rows.max(axis=1)
     cm = phi[:, None] - rows
     cstar = 2.0 * np.sum(np.sqrt(rows * cm), axis=1)
-    idx = labels - 1
-    return rows[idx], cm[idx], cstar[idx], phi[idx]
+    return rows, cm, cstar, phi
 
 
 def loss_floor(costs: CostMatrix, labels: np.ndarray) -> tuple[float, float]:
@@ -127,7 +137,7 @@ def loss_floor(costs: CostMatrix, labels: np.ndarray) -> tuple[float, float]:
     labels = np.asarray(labels)
     if costs.k < 2:
         raise ValueError("need at least 2 classes")
-    _, _, cstar_all, _ = dataset_terms(costs, labels)
+    cstar_all = _class_terms(costs)[2][_label_index(costs, labels)]
     n = labels.shape[0]
     floor = float(np.mean(0.5 * cstar_all))
 

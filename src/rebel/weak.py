@@ -263,7 +263,22 @@ def optimal_vector(scores: SplitScores, epsilon: float) -> tuple[np.ndarray, flo
 
 def split_value(scores: SplitScores, vector: np.ndarray) -> float:
     """Loss (above floor, before the balance-constant correction) achieved by `vector`."""
-    return float(scores.s_plus @ np.exp(vector) + scores.s_minus @ np.exp(-vector))
+    return float(class_sum(scores.s_plus, np.exp(vector))
+                 + class_sum(scores.s_minus, np.exp(-vector)))
+
+
+def class_sum(rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """rows[0] * coef[0] + ... + rows[K-1] * coef[K-1], added in class order.
+
+    Each term broadcasts as the operands do.  Side costs, split values and
+    the plug-in's expected costs are summed here, not by a matrix product,
+    whose order depends on the BLAS kernel: a tree's leaves, the refit's
+    keep-the-old-vector rule and the plug-in's decisions break ties on them.
+    """
+    total = rows[0] * coef[0]
+    for c in range(1, len(coef)):
+        total += rows[c] * coef[c]
+    return total
 
 
 def _bucketize(values: np.ndarray, thresholds: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -468,16 +483,15 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: np.ndar
 def _side_costs(weights: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, the cost u of sending it to +1 under a fixed vector, and v of sending it to -1.
 
-    The products read a C-ordered (N, K) copy: on the array's transposed
-    views the matrix-vector kernel sums in another order, and the leaf
-    search breaks ties by plain argmin.
+    Each is a sum over the positive weight rows plus one over the negative
+    rows, each in class order (`class_sum`): the leaf search breaks ties by
+    plain argmin.
     """
     k = weights.shape[0] // 2
     exp_a = np.exp(vector)
     exp_na = np.exp(-vector)
-    by_sample = np.ascontiguousarray(weights[:k].T)
-    u, v = by_sample @ exp_a, by_sample @ exp_na
-    np.copyto(by_sample, weights[k:].T)
-    u += by_sample @ exp_na
-    v += by_sample @ exp_a
+    u = class_sum(weights[:k], exp_a)
+    u += class_sum(weights[k:], exp_na)
+    v = class_sum(weights[:k], exp_na)
+    v += class_sum(weights[k:], exp_a)
     return u, v

@@ -438,6 +438,15 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.scores(np.zeros((4, 2)))
 
+    def test_equality_is_identity(self):
+        """Two models with equal content compare unequal without raising;
+        compare models by their text."""
+        from conftest import random_model
+        model, twin = random_model(1), random_model(1)
+        assert (model == twin) is False
+        assert (model == model) is True
+        assert model_to_text(model) == model_to_text(twin)
+
     def test_predict_all_matches_single_rows(self, rng):
         from conftest import random_model
         model = random_model(3, k=3, d=4, rounds=5)

@@ -13,14 +13,19 @@ Two seeded runs are retrained and compared as text:
 
 A change that alters any bit of training shows here as a changed file.  To
 record a deliberate output change, run `python tests/test_trained_outputs.py`
-from the repo root with `src` on the path, and say why in the change.
+from the repo root with `src` on the path, and say why in the change.  The
+depth-3 run is also retrained under two OpenBLAS kernels, which must agree.
 """
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rebel
 from rebel.boost import WARM_ROUNDS, TrainConfig, train, train_many
 from rebel.costs import CostMatrix
 from rebel.io import Dataset, model_to_text, write_trace
@@ -102,6 +107,47 @@ def test_lockstep_block_matches_the_record(tmp_path):
         assert model_to_text(model) == (DATA / f"{name}.model").read_text(encoding="utf-8")
         assert ((tmp_path / f"{name}.trace.csv").read_bytes()
                 == (DATA / f"{name}.trace.csv").read_bytes())
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether NumPy's BLAS is an OpenBLAS that picks its kernel at run time on x86-64."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy before 1.26 reports no build dicts
+        return False
+    return (platform.machine() in ("x86_64", "AMD64") and "openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+# writes the deep run's model and trace into the directory argv[1]
+_DEEP_RUN = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from test_trained_outputs import deep_risk_run
+from rebel.io import model_to_text, write_trace
+_, model, trace = deep_risk_run()[0]
+Path(sys.argv[1], "model").write_text(model_to_text(model), encoding="utf-8")
+write_trace(trace, Path(sys.argv[1], "trace.csv"))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_deep_run_does_not_depend_on_the_blas_kernel(tmp_path):
+    """The depth-3 run, trained under the kernel OpenBLAS picks for this CPU
+    and under its oldest x86-64 one (Prescott), gives the same files."""
+    src = str(Path(rebel.__file__).parents[1])
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", _DEEP_RUN, str(out)], env=env, check=True)
+        outputs.append(((out / "model").read_bytes(), (out / "trace.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from conftest import halves, random_costs, random_problem
 from rebel.boost import init_weights, update_weights
 from rebel.costs import CostMatrix
 from rebel.io import Dataset
-from rebel.weak import (SplitScores, Stump, Tree, accumulate_split, build_grid,
+from rebel.weak import (SplitScores, Stump, Tree, _side_costs, accumulate_split, build_grid,
                         class_major, cut_sums, grow_layer, optimal_vector, search_stumps,
                         split_value, stump_search)
 from reference_impl import (naive_split_scores, naive_stump_search, per_slot_grow_layer,
@@ -507,7 +507,30 @@ class TestTree:
             np.testing.assert_array_equal(tree.route(x)[0], want)
 
 
+def _in_class_order(rows, coef):
+    """sum_c rows[c] * coef[c] in Python floats, left to right."""
+    total = rows[0] * coef[0]
+    for row, c in zip(rows[1:], coef[1:]):
+        total += row * c
+    return total
+
+
 class TestGrowLayer:
+    def test_class_sums_add_in_class_order(self, rng):
+        """Side costs and split values are sums over classes taken in class
+        order, whatever the array layout or BLAS kernel."""
+        k, n = 5, 300
+        w = random_weights(rng, n, k)
+        vector = rng.normal(size=k)
+        exp_a, exp_na = np.exp(vector).tolist(), np.exp(-vector).tolist()
+        u, v = _side_costs(w, vector)
+        for i, col in enumerate(w.T.tolist()):
+            assert u[i] == _in_class_order(col[:k], exp_a) + _in_class_order(col[k:], exp_na)
+            assert v[i] == _in_class_order(col[:k], exp_na) + _in_class_order(col[k:], exp_a)
+        scores = accumulate_split(np.where(rng.random(n) < 0.5, 1, -1), w)
+        assert split_value(scores, vector) == (_in_class_order(scores.s_plus.tolist(), exp_a)
+                                               + _in_class_order(scores.s_minus.tolist(), exp_na))
+
     def test_never_increases_split_value(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
