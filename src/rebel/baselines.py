@@ -47,7 +47,7 @@ def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
     y_star = np.where(data.labels == 1, 1.0, -1.0)
     grid = build_grid(X, n_tau)
     weights = np.ones(n)
-    model = StrongClassifier(k=2, d=X.shape[1], a0=np.zeros(2), rounds=[])
+    pairs = []
 
     for _ in range(rounds):
         total = weights.sum()
@@ -77,11 +77,11 @@ def adaboost_train(data: "Dataset", rounds: int, n_tau: int = 200,
         err = min(err, total - err)
         alpha = 0.5 * (np.log((total - err) + epsilon) - np.log(err + epsilon))
         stump = Stump(feature=j, threshold=float(grid.thresholds[j][i]), polarity=polarity)
-        model.rounds.append((Tree.from_stump(stump), np.array([alpha, -alpha])))
+        pairs.append((Tree.from_stump(stump), np.array([alpha, -alpha])))
         # the stump's outputs, off the bins: x > tau_i exactly when bin > i
         outputs = polarity * np.where(grid.buckets[j] > i, 1, -1)
         weights = weights * np.exp(-alpha * y_star * outputs)
-    return model
+    return StrongClassifier(k=2, d=X.shape[1], a0=np.zeros(2), rounds=pairs)
 
 
 def posterior_all(model: StrongClassifier, features: np.ndarray) -> np.ndarray:

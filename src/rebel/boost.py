@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import is_
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -78,47 +78,40 @@ class NumericOverflowError(RuntimeError):
 
 
 class _Pack(NamedTuple):
-    """The block path's arrays, read from the (tree, vector) pairs in `rounds`."""
+    """The block path's arrays, read from a model's (tree, vector) pairs."""
 
-    rounds: tuple[tuple[Tree, np.ndarray], ...]
     feature: np.ndarray  # (T,) each root's feature
     threshold: np.ndarray  # (T, 1) each root's threshold
     vectors: np.ndarray  # (T, K), a stump's polarity folded in
     deep: list[int]  # rounds whose tree is deeper than a stump, in order
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StrongClassifier:
     """Additive model: scores(x) = a0 + sum_t f_t(x) * a_t, class = argmax score.
 
     `==` is identity: compare two models by their text (`io.model_to_text`).
 
-    A round's tree and vector are read when the model is first scored with
-    them, and the block path keeps what it read while `rounds` holds the same
-    pairs (the same objects).  So change a model by appending, replacing or
-    removing pairs, or by assigning a new list, not by editing a pair's tree
-    or vector in place.
+    A model is immutable, and a changed model comes from `dataclasses.replace`;
+    it holds `a0` and the round vectors it was given, uncopied, so do not
+    write into them.
     """
 
     k: int
     d: int
     a0: np.ndarray
-    rounds: list[tuple[Tree, np.ndarray]]
+    rounds: tuple[tuple[Tree, np.ndarray], ...]
     fingerprint: str = ""
-    # key and arrays in one object, so that a concurrent caller reads a pack
-    # with its own key
-    _pack: _Pack | None = field(default=None, init=False, repr=False)
 
-    def _packed(self) -> _Pack:
-        """The block path's arrays for the current rounds, packed once per set of pairs.
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"a model needs k >= 2 classes, got {self.k}")
+        object.__setattr__(self, "rounds", tuple(self.rounds))
 
-        Pairs are compared by identity: `==` on a pair would compare its
-        vectors elementwise.
-        """
-        pack, rounds = self._pack, self.rounds
-        if (pack is not None and len(pack.rounds) == len(rounds)
-                and all(map(is_, pack.rounds, rounds))):
-            return pack
+    @cached_property
+    def _pack(self) -> _Pack:
+        """The block path's arrays, packed on the first block-path call."""
+        rounds = self.rounds
         roots = [tree.nodes[0] for tree, _ in rounds]
         feature = np.array([root.feature for root in roots], dtype=np.intp)
         threshold = np.array([root.threshold for root in roots], dtype=np.float64)[:, None]
@@ -128,8 +121,7 @@ class StrongClassifier:
         vectors[[t for t, (tree, _) in enumerate(rounds)
                  if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
         deep = [t for t, (tree, _) in enumerate(rounds) if tree.depth > 1]
-        self._pack = pack = _Pack(tuple(rounds), feature, threshold, vectors, deep)
-        return pack
+        return _Pack(feature, threshold, vectors, deep)
 
     def _walk(self, features: np.ndarray, every_round: bool) -> Iterator[np.ndarray]:
         """Class-major (K, N) running scores: a0 first, then after each round,
@@ -148,10 +140,9 @@ class StrongClassifier:
         block's vectors.  A stump's polarity is folded into its vector, which
         is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
         outputs comes from `Tree.plus_side`.  The roots, thresholds, folded
-        vectors and deep-tree indices come from `_packed`, read once per set
-        of pairs and kept while the model holds the same pairs, so a model
-        scored again skips that walk over its trees, and pairs appended or
-        replaced later are read on the next call; the buffers are per call.
+        vectors and deep-tree indices come from `_pack`, read on the first
+        block-path call and kept with the model, so a model scored again
+        skips that walk over its trees; the buffers are per call.
         With `every_round` a block's steps are added and yielded one round
         at a time; without it they are added in one ordered reduction.
         Otherwise each round's step is one 2-D multiply of its vector by
@@ -181,8 +172,7 @@ class StrongClassifier:
         # holds rounds its block lacks
         blocks = -(-total // size)
         size = -(-total // blocks)
-        pack = self._packed()
-        feature, threshold, vectors, deep = pack.feature, pack.threshold, pack.vectors, pack.deep
+        feature, threshold, vectors, deep = self._pack
         columns = by_column.T  # (d, N), C-contiguous
         values = np.empty((size, n))
         side = np.empty((size, n), dtype=bool)
@@ -194,19 +184,19 @@ class StrongClassifier:
             columns.take(feature[start:stop], 0, values[:b])
             np.greater(values[:b], threshold[start:stop], side[:b])
             for t in deep[bisect_left(deep, start):bisect_left(deep, stop)]:
-                side[t - start] = pack.rounds[t][0].plus_side(by_column)
+                side[t - start] = self.rounds[t][0].plus_side(by_column)
             np.multiply(side[:b], 2.0, values[:b])
             np.subtract(values[:b], 1.0, values[:b])
             np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[1:b + 1])
-            # a row of one score would be reduced pairwise, out of round order
-            if every_round or h.size == 1:
+            if every_round:
                 for step in steps[1:b + 1]:
                     np.add(h, step, h)
                     yield h
                 continue
             # A reduction over the outer axis adds whole (K, N) rows in order,
             # ((h + s1) + s2) + ..., one elementwise add each: the bits of the
-            # adds above.  It starts from `initial`, and -0.0 + x == x for
+            # adds above (NumPy would reduce a row of one score pairwise, but
+            # K >= 2).  It starts from `initial`, and -0.0 + x == x for
             # every x, where NumPy's default +0.0 turns a -0.0 sum into +0.0.
             steps[0] = h
             np.add.reduce(steps[:b + 1], axis=0, out=h, initial=-0.0)
@@ -448,7 +438,7 @@ def _line_search(h: np.ndarray, cost_rows: np.ndarray, before: np.ndarray,
 
 
 class _Lane:
-    """One training of a lockstep run: its model and trace so far and its constants.
+    """One training of a lockstep run: its a0, rounds and trace so far and its constants.
 
     Sets up its weights, scores and cost rows in the stack's rows it is given.
     """
@@ -466,15 +456,14 @@ class _Lane:
         self.consts = (floor, 1.0 - floor / certificate if certificate > 0 else float("nan"))
         init_weights(costs, data, out=weights)
         cost_rows[:] = weights[:costs.k]  # c_plus, the class-major (K, N) cost rows
-        a0 = np.zeros(costs.k)
+        self.a0 = np.zeros(costs.k)
         if cfg.fit_a0:
-            a0 = fit_constant(weights, epsilon)
-            h += a0[:, None]  # class-major scores, zero before
+            self.a0 = fit_constant(weights, epsilon)
+            h += self.a0[:, None]  # class-major scores, zero before
         self.refine = not costs.equal_off_diagonal()
         loss = float(_surrogate_losses(weights[None])[0])
         self.trace = TrainTrace(floor=floor, certificate=certificate, loss_initial=loss)
-        self.model = StrongClassifier(k=costs.k, d=data.features.shape[1], a0=a0, rounds=[],
-                                      fingerprint=_fingerprint(cfg, epsilon))
+        self.rounds = []
 
 
 def train(data: "Dataset", costs: CostMatrix, cfg: TrainConfig) -> tuple[StrongClassifier, TrainTrace]:
@@ -531,7 +520,7 @@ def train_many(data: "Dataset", costs_list: list[CostMatrix],
     weights = np.empty((len(order), 2 * data.k, n))
     h = np.zeros((len(order), data.k, n))
     cost_rows = np.empty((len(order), data.k, n))
-    results = [None] * len(costs_list)
+    built = [None] * len(costs_list)
     errors = {}
     lanes = []
     for row, index in enumerate(order):
@@ -541,7 +530,7 @@ def train_many(data: "Dataset", costs_list: list[CostMatrix],
         except Exception as exc:  # noqa: BLE001 - raised for this training, after the rest
             errors[index] = exc
             continue
-        results[index] = (lane.model, lane.trace)
+        built[index] = lane
         if cfg.early_stop_on_certificate and lane.trace.loss_initial < lane.trace.certificate:
             lane.trace.stopped = "certificate"
         else:
@@ -554,7 +543,9 @@ def train_many(data: "Dataset", costs_list: list[CostMatrix],
         _run_lanes([lane for _, lane in lanes], weights, h, cost_rows, data, cfg, epsilon, errors)
     if errors:
         raise errors[min(errors)]
-    return results
+    fingerprint = _fingerprint(cfg, epsilon)
+    return [(StrongClassifier(k=data.k, d=X.shape[1], a0=lane.a0, rounds=lane.rounds,
+                              fingerprint=fingerprint), lane.trace) for lane in built]
 
 
 def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows: np.ndarray,
@@ -618,7 +609,7 @@ def _run_lanes(lanes: list[_Lane], weights: np.ndarray, h: np.ndarray, cost_rows
             elif overflow[b]:
                 errors[lane.index] = NumericOverflowError(t)
             else:
-                lane.model.rounds.append((tree, vectors[b]))
+                lane.rounds.append((tree, vectors[b]))
                 root = tree.nodes[0]
                 trace.rounds.append(RoundRecord(
                     index=t, loss=loss, excess=loss - trace.floor, gamma=gamma[b], phi=phi[b],

@@ -76,10 +76,6 @@ class CostMatrix:
         """0-1 costs: every mistake costs 1."""
         return cls.from_array(np.ones((k, k)) - np.eye(k))
 
-    def row(self, label: int) -> np.ndarray:
-        """Cost row for true class `label` (1-based)."""
-        return self.entries[label - 1]
-
     def equal_off_diagonal(self) -> bool:
         """True when each row's mistakes all cost the same (0-1 costs up to a per-row scale).
 

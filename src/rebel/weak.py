@@ -54,7 +54,7 @@ class Stump:
 SELECT_MAX_DEPTH = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tree:
     """Complete binary tree of stumps in level order; depth D means 2^D - 1 nodes.
 
@@ -63,9 +63,10 @@ class Tree:
     """
 
     depth: int
-    nodes: list[Stump]
+    nodes: tuple[Stump, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         if self.depth < 1:
             raise ValueError("tree depth must be >= 1")
         if len(self.nodes) != 2 ** self.depth - 1:
@@ -74,7 +75,7 @@ class Tree:
 
     @classmethod
     def from_stump(cls, stump: Stump) -> "Tree":
-        return cls(depth=1, nodes=[stump])
+        return cls(depth=1, nodes=(stump,))
 
     def route(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate and also report which leaf slot (0..2^D - 1) each sample reaches."""
@@ -472,7 +473,7 @@ def grow_layer(tree: Tree, vector: np.ndarray, data: "Dataset", weights: np.ndar
         side = (grid.buckets[best_j[s]] > best_i[s] // 2) != (best_i[s] % 2 == 1)
         np.copyto(plus, side, where=slots == s)
     outputs = np.where(plus, 1, -1)
-    grown = Tree(depth=tree.depth + 1, nodes=list(tree.nodes) + new_nodes)
+    grown = Tree(depth=tree.depth + 1, nodes=tree.nodes + tuple(new_nodes))
     scores = accumulate_split(outputs, weights)
     refit, criterion = optimal_vector(scores, epsilon)
     if split_value(scores, refit) > split_value(scores, vector):

@@ -33,15 +33,15 @@ def random_model(seed: int, k: int = 3, d: int = 4, depth: int = 1,
                  rounds: int = 5) -> StrongClassifier:
     """A syntactically valid model with random stumps and vectors."""
     rng = np.random.default_rng(seed)
-    model = StrongClassifier(k=k, d=d, a0=rng.normal(size=k), rounds=[],
-                             fingerprint=f"synthetic seed={seed}")
+    a0 = rng.normal(size=k)
+    pairs = []
     for _ in range(rounds):
         nodes = [Stump(feature=int(rng.integers(0, d)),
                        threshold=float(rng.normal()),
                        polarity=int(rng.choice([-1, 1])))
                  for _ in range(2 ** depth - 1)]
-        model.rounds.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
-    return model
+        pairs.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
+    return StrongClassifier(k=k, d=d, a0=a0, rounds=pairs, fingerprint=f"synthetic seed={seed}")
 
 
 def xor_dataset(n_per_cell: int = 25, seed: int = 0) -> Dataset:

@@ -1,4 +1,5 @@
 """The boosting loop: weights, constant fit, stopping, and invariants."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -431,6 +432,10 @@ class TestPredict:
         np.testing.assert_array_equal(predict_all(model, x), [1])
         np.testing.assert_array_equal(model.scores(x)[0], [0.5, 0.5, 0.0])
 
+    def test_one_class_is_refused(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            StrongClassifier(k=1, d=1, a0=np.zeros(1), rounds=[])
+
     def test_shape_validation(self):
         model = StrongClassifier(k=2, d=3, a0=np.zeros(2), rounds=[], fingerprint="")
         with pytest.raises(ValueError):
@@ -468,15 +473,16 @@ def _model_and_rows(draw):
     through the text format, and 0-12 rows of features."""
     k = draw(st.integers(2, 4))
     d = draw(st.integers(1, 3))
-    model = StrongClassifier(k=k, d=d, a0=draw(arrays(np.float64, k, elements=_VALUES)),
-                             rounds=[], fingerprint="property")
+    a0 = draw(arrays(np.float64, k, elements=_VALUES))
+    pairs = []
     for _ in range(draw(st.integers(0, 6))):
         depth = draw(st.integers(1, 3))
         nodes = [Stump(feature=draw(st.integers(0, d - 1)), threshold=draw(_VALUES),
                        polarity=draw(st.sampled_from([-1, 1])))
                  for _ in range(2 ** depth - 1)]
         vector = draw(arrays(np.float64, k, elements=_VALUES))
-        model.rounds.append((Tree(depth=depth, nodes=nodes), vector))
+        pairs.append((Tree(depth=depth, nodes=nodes), vector))
+    model = StrongClassifier(k=k, d=d, a0=a0, rounds=pairs, fingerprint="property")
     rows = draw(arrays(np.float64, (draw(st.integers(0, 12)), d), elements=_VALUES))
     return model_from_text(model_to_text(model)), rows
 
@@ -488,8 +494,8 @@ def _long_model_and_rows(draw):
     k = draw(st.integers(2, 5))
     d = draw(st.integers(1, 4))
     values = st.one_of(_VALUES, st.sampled_from([-1.7976931348623157e308, 1e300]))
-    model = StrongClassifier(k=k, d=d, a0=draw(arrays(np.float64, k, elements=_VALUES)),
-                             rounds=[], fingerprint="property")
+    a0 = draw(arrays(np.float64, k, elements=_VALUES))
+    pairs = []
     depths = st.sampled_from([1, 1, 2, 3, SELECT_MAX_DEPTH + 1])
     for depth in draw(st.lists(depths, max_size=40)):
         size = 2 ** depth - 1
@@ -497,8 +503,9 @@ def _long_model_and_rows(draw):
         thresholds = draw(arrays(np.float64, size, elements=_VALUES))
         polarities = draw(arrays(np.int64, size, elements=st.sampled_from([-1, 1])))
         nodes = [Stump(int(f), float(t), int(p)) for f, t, p in zip(feats, thresholds, polarities)]
-        model.rounds.append((Tree(depth=depth, nodes=nodes),
-                             draw(arrays(np.float64, k, elements=values))))
+        pairs.append((Tree(depth=depth, nodes=nodes),
+                      draw(arrays(np.float64, k, elements=values))))
+    model = StrongClassifier(k=k, d=d, a0=a0, rounds=pairs, fingerprint="property")
     rows = draw(arrays(np.float64, (draw(st.integers(0, 300)), d), elements=_VALUES))
     # any remainder below one round's K * N still gives blocks of 1-3 rounds
     per_round = k * rows.shape[0]
@@ -516,10 +523,6 @@ class TestScoringWalk:
     # +0.0 would give +0.0
     @example(case=(StrongClassifier(k=2, d=1, a0=np.array([-0.0, -1.0]), rounds=[
         (Tree.from_stump(Stump(0, 0.0, 1)), np.array([-0.0, -0.0]))]), np.array([[1.0]]), 2))
-    # one class and one row: a pairwise sum would keep the 1.0 steps that the
-    # round-order sum rounds away against 1e16
-    @example(case=(StrongClassifier(k=1, d=1, a0=np.array([1e16]), rounds=[
-        (Tree.from_stump(Stump(0, 0.0, 1)), np.array([1.0]))] * 16), np.array([[1.0]]), 16))
     def test_blocks_of_few_rounds_match_round_order_sum(self, case):
         """Blocks of 1-3 rounds, the last one often partial: every stage is
         still the round-order sum of its prefix."""
@@ -536,6 +539,19 @@ class TestScoringWalk:
         for stage, expected in zip(stages, want[1:]):
             assert stage.tobytes() == expected.tobytes()
 
+    def test_two_scores_are_reduced_in_round_order(self):
+        """The fewest scores a model has, two classes on one row, at the
+        default block constants: 16 steps of 1.0 are each rounded away
+        against 1e16 in round order, where a pairwise sum would keep them."""
+        model = StrongClassifier(k=2, d=1, a0=np.array([1e16, 1e16]), rounds=[
+            (Tree.from_stump(Stump(0, 0.0, 1)), np.array([1.0, 1.0]))] * 16)
+        rows = np.array([[1.0]])
+        assert boost.BLOCK_ELEMS // 2 >= len(model.rounds) >= boost.BLOCK_MIN_ROUNDS
+        want = round_order_scores(model, rows)
+        assert want.tolist() == [[1e16, 1e16]]
+        assert model.scores(rows).tobytes() == want.tobytes()
+        assert list(model.staged_scores(rows))[-1].tobytes() == want.tobytes()
+
     def test_served_batch_takes_the_block_path_in_round_order(self):
         """The benchmark's batch shape at the default block constants: 64 rows
         and 300 rounds at K=5 make two blocks of 150.  Stumps of both
@@ -543,12 +559,14 @@ class TestScoringWalk:
         the round-order scores, and so does the last stage."""
         rng = np.random.default_rng(16)
         n, d, k = 64, 20, 5
-        model = StrongClassifier(k=k, d=d, a0=rng.normal(size=k), rounds=[])
+        a0 = rng.normal(size=k)
+        pairs = []
         for t in range(300):
             depth = 6 if t % 97 == 50 else 2 if t % 41 == 7 else 1
             nodes = [Stump(int(rng.integers(0, d)), float(rng.normal()),
                            int(rng.choice([-1, 1]))) for _ in range(2 ** depth - 1)]
-            model.rounds.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
+            pairs.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
+        model = StrongClassifier(k=k, d=d, a0=a0, rounds=pairs)
         assert sorted({tree.depth for tree, _ in model.rounds}) == [1, 2, 6]
         assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
         assert boost.BLOCK_ELEMS // (k * n) >= boost.BLOCK_MIN_ROUNDS
@@ -631,41 +649,39 @@ class TestScoringWalk:
             assert model.scores(rows).tobytes() == want
             assert list(model.staged_scores(rows))[-1].tobytes() == want
 
-    def test_model_grown_after_construction_is_scored_in_full(self):
-        """A round appended after the model was built and scored counts.  One
-        round takes the per-round path; the block path's pack is tested in
-        `test_rescoring_reads_the_pairs_the_model_holds`."""
-        model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
-        x = np.array([[1.0]])
-        np.testing.assert_array_equal(model.scores(x), [[0.0, 0.0]])
-        model.rounds.append((Tree.from_stump(Stump(0, 0.0, 1)), np.array([-1.0, 1.0])))
-        np.testing.assert_array_equal(model.scores(x), [[-1.0, 1.0]])
-
-    @pytest.mark.parametrize("edit", ["none", "append", "replace", "new list"])
-    def test_rescoring_reads_the_pairs_the_model_holds(self, edit):
-        """The block path packs a model's pairs on its first call and keeps
-        the pack while the model holds the same pairs.  A second call gives
-        the same sums, so the polarity fold went into the pack once; a pair
-        appended, a pair replaced by a new tuple and a new `rounds` list are
-        all read on the next call; and `staged_scores` after `scores` gives
-        every stage in round order."""
+    def test_a_model_is_a_value(self):
+        """A model and its trees cannot be changed in place, and a model made
+        by `dataclasses.replace` with a round added is scored in full, on the
+        block path (16 rounds) and on the per-round path (2 rounds).  Scoring
+        a model twice gives the same bytes, so the polarity fold went into
+        its pack once, and `staged_scores` after `scores` gives every stage
+        in round order."""
         from conftest import random_model
         n, d, k = 20, 4, 3
         model = random_model(17, k=k, d=d, rounds=2 * boost.BLOCK_MIN_ROUNDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.rounds = []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.fingerprint = "edited"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.rounds[0][0].nodes = ()
+        with pytest.raises(AttributeError):
+            model.rounds.append(model.rounds[0])
         assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
-        assert boost.BLOCK_ELEMS // (k * n) >= len(model.rounds)
+        assert boost.BLOCK_ELEMS // (k * n) > len(model.rounds)
         rows = np.random.default_rng(17).normal(size=(n, d))
-        assert model.scores(rows).tobytes() == round_order_scores(model, rows).tobytes()
-        other = random_model(18, k=k, d=d, depth=2, rounds=len(model.rounds))
-        if edit == "append":
-            model.rounds.append(other.rounds[0])
-        elif edit == "replace":
-            model.rounds[3] = (other.rounds[0][0], model.rounds[3][1])
-        elif edit == "new list":
-            model.rounds = other.rounds
-        want = list(round_order_stages(model, rows))
-        assert model.scores(rows).tobytes() == want[-1].tobytes()
-        stages = list(model.staged_scores(rows))
-        assert len(stages) == len(model.rounds)
-        for stage, expected in zip(stages, want[1:]):
-            assert stage.tobytes() == expected.tobytes()
+        pair = random_model(18, k=k, d=d, depth=2, rounds=1).rounds[0]
+        short = dataclasses.replace(model, rounds=model.rounds[:2])
+        for base in (model, short):
+            first = base.scores(rows).tobytes()
+            assert first == round_order_scores(base, rows).tobytes()
+            assert base.scores(rows).tobytes() == first
+            grown = dataclasses.replace(base, rounds=base.rounds + (pair,))
+            assert grown.fingerprint == base.fingerprint
+            want = list(round_order_stages(grown, rows))
+            assert grown.scores(rows).tobytes() == want[-1].tobytes()
+            stages = list(grown.staged_scores(rows))
+            assert len(stages) == len(grown.rounds) == len(base.rounds) + 1
+            for stage, expected in zip(stages, want[1:]):
+                assert stage.tobytes() == expected.tobytes()
+            assert base.scores(rows).tobytes() == first

@@ -58,10 +58,6 @@ class TestValidation:
         assert c.k == 4
         np.testing.assert_array_equal(c.entries, np.ones((4, 4)) - np.eye(4))
 
-    def test_row_is_one_based(self):
-        c = three_class_costs()
-        np.testing.assert_array_equal(c.row(1), ROW)
-
     def test_equal_off_diagonal(self, rng):
         assert CostMatrix.uniform(4).equal_off_diagonal()
         # per-row scales keep every row's mistakes alike
@@ -112,8 +108,8 @@ class TestDecomposition:
             costs = random_costs(int(rng.integers(2, 7)), rng)
             for label in range(1, costs.k + 1):
                 terms = sample_terms(costs, label)
-                dec = decompose_row(costs.row(label))
-                np.testing.assert_array_equal(terms.c_plus, costs.row(label))
+                dec = decompose_row(costs.entries[label - 1])
+                np.testing.assert_array_equal(terms.c_plus, costs.entries[label - 1])
                 np.testing.assert_array_equal(terms.c_minus, dec.b)
                 assert terms.c_minus.min() >= 0.0
                 np.testing.assert_allclose(terms.c_plus + terms.c_minus, dec.phi, atol=1e-12)

@@ -1,4 +1,5 @@
 """CSV dataset loading and the plain-text model format."""
+import dataclasses
 import hashlib
 import tempfile
 from pathlib import Path
@@ -300,8 +301,8 @@ def _edited_model_texts(draw):
     line may hold non-ASCII text, so byte and character offsets differ."""
     model = random_model(draw(st.integers(0, 10 ** 6)), k=draw(st.integers(2, 4)), d=3,
                          depth=draw(st.integers(1, 2)), rounds=draw(st.integers(0, 3)))
-    model.fingerprint = draw(st.text(st.characters(codec="utf-8", exclude_characters="\n"),
-                                     max_size=6))
+    model = dataclasses.replace(model, fingerprint=draw(
+        st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=6)))
     lines = model_to_text(model).split("\n")
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))

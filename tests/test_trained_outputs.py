@@ -32,6 +32,9 @@ from rebel.io import Dataset, model_to_text, write_trace
 from rebel.synth import gen_cost_matrix, gen_dataset, random_mixture_spec
 
 DATA = Path(__file__).parent / "data" / "trained"
+# NumPy's AVX-512 dispatch targets; their `exp` and `log` give other low bits
+# than the older paths, and the records were made with them enabled
+RECORD_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 def grid_block_runs():
@@ -80,13 +83,30 @@ def test_deep_run_reaches_the_risk_phase(runs):
     assert [r.phase for r in trace.rounds].count("risk") == 70 - WARM_ROUNDS
 
 
+def _cpu_note() -> str:
+    """Which of RECORD_FEATURES NumPy uses here, for a failed comparison's message."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy before 2.0
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [f for f in RECORD_FEATURES if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    return ("the records were made with NumPy's X86_V4 dispatch (AVX-512 exp/log); of "
+            f"{', '.join(RECORD_FEATURES)}, enabled here: {', '.join(enabled) or 'none'}")
+
+
+def _assert_matches_record(name, model, trace, tmp_path):
+    write_trace(trace, tmp_path / "trace.csv")
+    text = model_to_text(model)
+    assert text == (DATA / f"{name}.model").read_text(encoding="utf-8"), _cpu_note()
+    trace_bytes = (tmp_path / "trace.csv").read_bytes()
+    assert trace_bytes == (DATA / f"{name}.trace.csv").read_bytes(), _cpu_note()
+
+
 @pytest.mark.parametrize("name", ["grid_uniform", "grid_costs0", "grid_costs1",
                                   "grid_costs2", "grid_costs3", "deep_risk"])
 def test_retrained_outputs_match_the_record(runs, name, tmp_path):
     model, trace = dict((n, (m, t)) for n, m, t in runs)[name]
-    write_trace(trace, tmp_path / "trace.csv")
-    assert model_to_text(model) == (DATA / f"{name}.model").read_text(encoding="utf-8")
-    assert (tmp_path / "trace.csv").read_bytes() == (DATA / f"{name}.trace.csv").read_bytes()
+    _assert_matches_record(name, model, trace, tmp_path)
 
 
 def test_lockstep_block_matches_the_record(tmp_path):
@@ -103,10 +123,7 @@ def test_lockstep_block_matches_the_record(tmp_path):
     results = train_many(train_data, matrices, TrainConfig(rounds=100, tree_depth=1, fit_a0=True))
     assert len(results) == len(names)
     for name, (model, trace) in zip(names, results):
-        write_trace(trace, tmp_path / f"{name}.trace.csv")
-        assert model_to_text(model) == (DATA / f"{name}.model").read_text(encoding="utf-8")
-        assert ((tmp_path / f"{name}.trace.csv").read_bytes()
-                == (DATA / f"{name}.trace.csv").read_bytes())
+        _assert_matches_record(name, model, trace, tmp_path)
 
 
 def _dynamic_arch_openblas() -> bool:
