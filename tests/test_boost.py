@@ -649,39 +649,66 @@ class TestScoringWalk:
             assert model.scores(rows).tobytes() == want
             assert list(model.staged_scores(rows))[-1].tobytes() == want
 
-    def test_a_model_is_a_value(self):
-        """A model and its trees cannot be changed in place, and a model made
-        by `dataclasses.replace` with a round added is scored in full, on the
-        block path (16 rounds) and on the per-round path (2 rounds).  Scoring
-        a model twice gives the same bytes, so the polarity fold went into
-        its pack once, and `staged_scores` after `scores` gives every stage
-        in round order."""
+    def test_model_grown_after_construction_is_scored_in_full(self):
+        """A model made by `dataclasses.replace` with a round added to a
+        model already built and scored counts that round.  One round takes
+        the per-round path; the block path's pack is tested in
+        `test_rescoring_reads_the_pairs_the_model_holds`."""
+        model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
+        x = np.array([[1.0]])
+        np.testing.assert_array_equal(model.scores(x), [[0.0, 0.0]])
+        pair = (Tree.from_stump(Stump(0, 0.0, 1)), np.array([-1.0, 1.0]))
+        grown = dataclasses.replace(model, rounds=model.rounds + (pair,))
+        np.testing.assert_array_equal(grown.scores(x), [[-1.0, 1.0]])
+        np.testing.assert_array_equal(model.scores(x), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("edit", ["none", "append", "replace", "new list"])
+    def test_rescoring_reads_the_pairs_the_model_holds(self, edit):
+        """The block path packs a model's pairs on its first call and keeps
+        the pack, which holds because a model and its trees cannot be
+        changed in place: appending a pair, replacing one and assigning a
+        new `rounds` are refused.  A second call gives the same sums, so the
+        polarity fold went into the pack once; a model made by
+        `dataclasses.replace` with the edit is scored in full, on the block
+        path (16 rounds and more) and on the per-round path (2 rounds), and
+        `staged_scores` after `scores` gives every stage in round order."""
         from conftest import random_model
         n, d, k = 20, 4, 3
         model = random_model(17, k=k, d=d, rounds=2 * boost.BLOCK_MIN_ROUNDS)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            model.rounds = []
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            model.fingerprint = "edited"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            model.rounds[0][0].nodes = ()
-        with pytest.raises(AttributeError):
-            model.rounds.append(model.rounds[0])
         assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
         assert boost.BLOCK_ELEMS // (k * n) > len(model.rounds)
         rows = np.random.default_rng(17).normal(size=(n, d))
-        pair = random_model(18, k=k, d=d, depth=2, rounds=1).rounds[0]
+        other = random_model(18, k=k, d=d, depth=2, rounds=len(model.rounds))
         short = dataclasses.replace(model, rounds=model.rounds[:2])
         for base in (model, short):
             first = base.scores(rows).tobytes()
             assert first == round_order_scores(base, rows).tobytes()
+            if edit == "append":
+                with pytest.raises(AttributeError):
+                    base.rounds.append(other.rounds[0])
+                rounds = base.rounds + other.rounds[:1]
+            elif edit == "replace":
+                with pytest.raises(TypeError):
+                    base.rounds[1] = (other.rounds[0][0], base.rounds[1][1])
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    base.rounds[1][0].nodes = other.rounds[0][0].nodes
+                rounds = (base.rounds[:1] + ((other.rounds[0][0], base.rounds[1][1]),)
+                          + base.rounds[2:])
+            elif edit == "new list":
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    base.rounds = other.rounds
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    base.fingerprint = "edited"
+                rounds = other.rounds[:len(base.rounds)]
+            else:
+                rounds = base.rounds
             assert base.scores(rows).tobytes() == first
-            grown = dataclasses.replace(base, rounds=base.rounds + (pair,))
-            assert grown.fingerprint == base.fingerprint
-            want = list(round_order_stages(grown, rows))
-            assert grown.scores(rows).tobytes() == want[-1].tobytes()
-            stages = list(grown.staged_scores(rows))
-            assert len(stages) == len(grown.rounds) == len(base.rounds) + 1
+            edited = dataclasses.replace(base, rounds=rounds)
+            assert edited.fingerprint == base.fingerprint
+            want = list(round_order_stages(edited, rows))
+            assert edited.scores(rows).tobytes() == want[-1].tobytes()
+            stages = list(edited.staged_scores(rows))
+            assert len(stages) == len(edited.rounds)
             for stage, expected in zip(stages, want[1:]):
                 assert stage.tobytes() == expected.tobytes()
             assert base.scores(rows).tobytes() == first
