@@ -55,15 +55,24 @@ _RATIO = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
 # Rounds per block of the scoring walk: BLOCK_ELEMS // (K * N), so a block's
-# (b, K, N) steps hold about BLOCK_ELEMS doubles (512 KB).  At 64 rows a block
+# (b, N, K) steps hold about BLOCK_ELEMS doubles (512 KB).  At 64 rows a block
 # holds hundreds of rounds, and the walk makes a few NumPy calls per block
-# instead of per round.  Of 8k to 256k, 64k was the fastest or within 2% of it
-# at 64, 500 and 2000 rows (300 stumps, K=5, d=20, 2-vCPU Xeon).
+# instead of per round.  Of 16k to 128k, 64k was the fastest or within 3% of
+# it at 64, 500 and 2000 rows (100 stumps at K=4, d=2; 300 at K=5, d=20;
+# 2-vCPU Xeon); 16k was 11-70% slower, 32k up to 15% slower.
 BLOCK_ELEMS = 1 << 16
 # Fewest rounds a block must hold; with fewer (large N, or a short model) the
-# walk takes one round at a time.  Blocks of 13 rounds (1000 rows, K=5) were
-# faster than the per-round walk, blocks of 2-6 (2000-6000 rows) no faster or
-# slower, and a one-round block in 3-D slower at 10k rows.
+# walk takes one round at a time.  Measured with the row gather (predict_all,
+# in process, block path over per-round path): at K=5 (300 stumps) 0.69 at
+# 1000 rows, 0.71-0.91 at 1500-2500, 1.5-1.6 at 2800-3000, 1.8 at 4000-6000
+# and 2.4 at 10k; at K=4 (100 and 300 stumps) 0.47 at 1000, 0.57-0.76 at
+# 2000-2730, 1.1-1.4 at 3000-6000 and 1.9 at 10k.  The crossover sits near
+# 2600 rows, where the per-round multiply gets faster per element, so 8
+# rounds (1638 rows at K=5, 2048 at K=4) leaves a band the block path would
+# win.  A lower bound would reach it at K=4 and K=5 but reach further at
+# fewer classes, past their crossover: the block path was 1.7x slower at
+# 3000-3640 rows at K=3, and 1.04-1.46x slower at 1500-5400 rows at K=2.
+# So it stays 8.
 BLOCK_MIN_ROUNDS = 8
 
 _SIGNS = np.array([-1.0, 1.0])  # a tree's output, indexed by its +1 side as 0 or 1
@@ -82,7 +91,10 @@ class _Pack(NamedTuple):
 
     feature: np.ndarray  # (T,) each root's feature
     threshold: np.ndarray  # (T, 1) each root's threshold
-    vectors: np.ndarray  # (T, K), a stump's polarity folded in
+    offset: np.ndarray  # (T, 1) 2t, round t's first row of `table`
+    # (2T, K) rows 2t, 2t+1: round t's vector times -1.0 and +1.0, a stump's
+    # polarity folded in
+    table: np.ndarray
     deep: list[int]  # rounds whose tree is deeper than a stump, in order
 
 
@@ -106,7 +118,13 @@ class StrongClassifier:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"a model needs k >= 2 classes, got {self.k}")
+        if np.shape(self.a0) != (self.k,):
+            raise ValueError(f"a0 has shape {np.shape(self.a0)}, expected ({self.k},)")
         object.__setattr__(self, "rounds", tuple(self.rounds))
+        for t, (_, vector) in enumerate(self.rounds):
+            if np.shape(vector) != (self.k,):
+                raise ValueError(f"rounds[{t}] has a vector of shape {np.shape(vector)}, "
+                                 f"expected ({self.k},)")
 
     @cached_property
     def _pack(self) -> _Pack:
@@ -120,12 +138,16 @@ class StrongClassifier:
                                  dtype=np.float64).reshape(len(rounds), self.k)
         vectors[[t for t, (tree, _) in enumerate(rounds)
                  if tree.depth == 1 and roots[t].polarity < 0]] *= -1.0
+        # the products the multiply by +-1 gives, signed zeros and nan bits
+        # included (np.negative would flip a nan's sign bit)
+        table = (vectors[:, None, :] * _SIGNS[:, None]).reshape(2 * len(rounds), self.k)
+        offset = np.arange(0, 2 * len(rounds), 2, dtype=np.int64)[:, None]
         deep = [t for t, (tree, _) in enumerate(rounds) if tree.depth > 1]
-        return _Pack(feature, threshold, vectors, deep)
+        return _Pack(feature, threshold, offset, table, deep)
 
     def _walk(self, features: np.ndarray, every_round: bool) -> Iterator[np.ndarray]:
-        """Class-major (K, N) running scores: a0 first, then after each round,
-        or after each block of rounds on the block path without `every_round`.
+        """(N, K) running scores: a0 first, then after each round, or after
+        each block of rounds on the block path without `every_round`.
 
         Yields one buffer, updated in place.  Each round adds a * out per
         sample, out in {-1.0, +1.0}: exact, with the signed zeros of +a and
@@ -136,17 +158,19 @@ class StrongClassifier:
         When a block of `BLOCK_ELEMS` holds at least `BLOCK_MIN_ROUNDS`
         rounds, the steps come a block at a time, in as few blocks of equal
         size (up to one round) as that takes: one gather-and-compare of
-        the block's root stumps, exact +-1 signs and one multiply by the
-        block's vectors.  A stump's polarity is folded into its vector, which
-        is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of
-        outputs comes from `Tree.plus_side`.  The roots, thresholds, folded
-        vectors and deep-tree indices come from `_pack`, read on the first
+        the block's root stumps, then one gather of rows from `_pack`'s
+        table, which holds each round's vector times -1.0 and times +1.0,
+        indexed by 2t + side, into a sample-major (b, N, K) block.  A
+        stump's polarity is folded into its vector, which is exact:
+        (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of sides
+        comes from `Tree.plus_side`.  The pack is built on the first
         block-path call and kept with the model, so a model scored again
         skips that walk over its trees; the buffers are per call.
         With `every_round` a block's steps are added and yielded one round
         at a time; without it they are added in one ordered reduction.
-        Otherwise each round's step is one 2-D multiply of its vector by
-        its +-1 outputs.
+        Otherwise the walk runs class-major, each round's step one (K, N)
+        multiply of its vector by its +-1 outputs, and yields the
+        transposed view of its (K, N) sums.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d:
@@ -154,30 +178,35 @@ class StrongClassifier:
         # a feature-major copy, so that each node reads one contiguous row
         by_column = np.ascontiguousarray(features.T).T
         n = features.shape[0]
-        h = np.repeat(self.a0[:, None], n, axis=1)
-        yield h
         total = len(self.rounds)
         size = min(total, BLOCK_ELEMS // max(1, self.k * n))
         if size < BLOCK_MIN_ROUNDS:
+            h = np.repeat(self.a0[:, None], n, axis=1)
+            yield h.T
             step = np.empty_like(h)
             for tree, vector in self.rounds:
                 # a bool array indexes `_SIGNS` as 0/1; positional out arguments,
                 # since at small N the cost is call overhead
                 np.multiply(vector[:, None], _SIGNS.take(tree.plus_side(by_column)), step)
                 np.add(h, step, h)
-                yield h
+                yield h.T
             return
 
+        h = np.repeat(self.a0[None, :], n, axis=0)
+        yield h
         # as few blocks as that size needs, sized evenly, so that no buffer
         # holds rounds its block lacks
         blocks = -(-total // size)
         size = -(-total // blocks)
-        feature, threshold, vectors, deep = self._pack
+        feature, threshold, offset, table, deep = self._pack
         columns = by_column.T  # (d, N), C-contiguous
         values = np.empty((size, n))
+        # the rows of `table` to take; it shares the memory of `values`, which
+        # are spent once a block's sides are known
+        index = values.view(np.int64)
         side = np.empty((size, n), dtype=bool)
         # row 0 holds the running sum, rows 1..b a block's steps
-        steps = np.empty((size + 1, self.k, n))
+        steps = np.empty((size + 1, n, self.k))
         for start in range(0, total, size):
             stop = min(start + size, total)
             b = stop - start
@@ -185,15 +214,15 @@ class StrongClassifier:
             np.greater(values[:b], threshold[start:stop], side[:b])
             for t in deep[bisect_left(deep, start):bisect_left(deep, stop)]:
                 side[t - start] = self.rounds[t][0].plus_side(by_column)
-            np.multiply(side[:b], 2.0, values[:b])
-            np.subtract(values[:b], 1.0, values[:b])
-            np.multiply(vectors[start:stop, :, None], values[:b, None, :], steps[1:b + 1])
+            np.add(side[:b], offset[start:stop], index[:b])
+            # every index is in range; "raise" would buffer the output
+            table.take(index[:b], 0, steps[1:b + 1], mode="clip")
             if every_round:
                 for step in steps[1:b + 1]:
                     np.add(h, step, h)
                     yield h
                 continue
-            # A reduction over the outer axis adds whole (K, N) rows in order,
+            # A reduction over the outer axis adds whole (N, K) rows in order,
             # ((h + s1) + s2) + ..., one elementwise add each: the bits of the
             # adds above (NumPy would reduce a row of one score pairwise, but
             # K >= 2).  It starts from `initial`, and -0.0 + x == x for
@@ -210,12 +239,12 @@ class StrongClassifier:
         stages = self._walk(features, every_round=True)
         next(stages)
         for h in stages:
-            yield h.T.copy()  # C order; ascontiguousarray would return a view when N or K is 1
+            yield h.copy()  # a new C-ordered array; h is the walk's buffer, updated in place
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         for h in self._walk(features, every_round=False):
             pass
-        return np.ascontiguousarray(h.T)
+        return np.ascontiguousarray(h)
 
 
 @dataclass

@@ -436,6 +436,20 @@ class TestPredict:
         with pytest.raises(ValueError, match="k >= 2"):
             StrongClassifier(k=1, d=1, a0=np.zeros(1), rounds=[])
 
+    def test_vectors_of_another_length_are_refused(self):
+        """`a0` and every round's vector hold one entry per class, or the
+        model is refused, naming the round: the block path packs the
+        vectors into (T, K) rows, and a short one would shift them."""
+        stump = Tree.from_stump(Stump(0, 0.0, 1))
+        for a0 in (np.zeros(1), np.zeros(5), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match=r"a0 has shape"):
+                StrongClassifier(k=3, d=1, a0=a0, rounds=[])
+        rounds = [(stump, np.zeros(3)), (stump, np.zeros(4)), (stump, np.zeros(2))]
+        with pytest.raises(ValueError, match=r"rounds\[1\] has a vector of shape \(4,\)"):
+            StrongClassifier(k=3, d=1, a0=np.zeros(3), rounds=rounds)
+        with pytest.raises(ValueError, match=r"rounds\[2\] has a vector of shape \(2,\)"):
+            StrongClassifier(k=3, d=1, a0=np.zeros(3), rounds=[rounds[0]] * 2 + rounds[2:])
+
     def test_shape_validation(self):
         model = StrongClassifier(k=2, d=3, a0=np.zeros(2), rounds=[], fingerprint="")
         with pytest.raises(ValueError):
@@ -523,6 +537,12 @@ class TestScoringWalk:
     # +0.0 would give +0.0
     @example(case=(StrongClassifier(k=2, d=1, a0=np.array([-0.0, -1.0]), rounds=[
         (Tree.from_stump(Stump(0, 0.0, 1)), np.array([-0.0, -0.0]))]), np.array([[1.0]]), 2))
+    # a polarity -1 stump, on both of its sides, adds the signed zeros (and
+    # the nan bits) of its vector times -1.0 and +1.0: a table row made by
+    # np.negative would flip the nan's sign bit, where a multiply keeps it
+    @example(case=(StrongClassifier(k=3, d=1, a0=np.array([-0.0, -0.0, -0.0]), rounds=[
+        (Tree.from_stump(Stump(0, 0.0, -1)), np.array([0.0, -0.0, np.nan]))]),
+        np.array([[1.0], [-1.0]]), 6))
     def test_blocks_of_few_rounds_match_round_order_sum(self, case):
         """Blocks of 1-3 rounds, the last one often partial: every stage is
         still the round-order sum of its prefix."""
@@ -553,27 +573,30 @@ class TestScoringWalk:
         assert list(model.staged_scores(rows))[-1].tobytes() == want.tobytes()
 
     def test_served_batch_takes_the_block_path_in_round_order(self):
-        """The benchmark's batch shape at the default block constants: 64 rows
-        and 300 rounds at K=5 make two blocks of 150.  Stumps of both
-        polarities, with a few depth-2 and depth-6 trees among them, sum to
-        the round-order scores, and so does the last stage."""
-        rng = np.random.default_rng(16)
-        n, d, k = 64, 20, 5
-        a0 = rng.normal(size=k)
-        pairs = []
-        for t in range(300):
-            depth = 6 if t % 97 == 50 else 2 if t % 41 == 7 else 1
-            nodes = [Stump(int(rng.integers(0, d)), float(rng.normal()),
-                           int(rng.choice([-1, 1]))) for _ in range(2 ** depth - 1)]
-            pairs.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
-        model = StrongClassifier(k=k, d=d, a0=a0, rounds=pairs)
-        assert sorted({tree.depth for tree, _ in model.rounds}) == [1, 2, 6]
-        assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
-        assert boost.BLOCK_ELEMS // (k * n) >= boost.BLOCK_MIN_ROUNDS
-        rows = rng.normal(size=(n, d))
-        want = round_order_scores(model, rows).tobytes()
-        assert model.scores(rows).tobytes() == want
-        assert list(model.staged_scores(rows))[-1].tobytes() == want
+        """The benchmark's batch shapes at the default block constants, 64
+        rows each: csv's 300 rounds at K=5 make two blocks of 150, grid's
+        100 rounds at K=4 one block.  Stumps of both polarities, with a few
+        depth-2 and depth-6 trees among them, sum to the round-order scores,
+        and so does the last stage."""
+        n = 64
+        for rounds, d, k, blocks in ((300, 20, 5, 2), (100, 2, 4, 1)):
+            rng = np.random.default_rng(16)
+            a0 = rng.normal(size=k)
+            pairs = []
+            for t in range(rounds):
+                depth = 6 if t % 97 == 50 else 2 if t % 41 == 7 else 1
+                nodes = [Stump(int(rng.integers(0, d)), float(rng.normal()),
+                               int(rng.choice([-1, 1]))) for _ in range(2 ** depth - 1)]
+                pairs.append((Tree(depth=depth, nodes=nodes), rng.normal(size=k)))
+            model = StrongClassifier(k=k, d=d, a0=a0, rounds=pairs)
+            assert sorted({tree.depth for tree, _ in model.rounds}) == [1, 2, 6]
+            assert {tree.nodes[0].polarity for tree, _ in model.rounds} == {-1, 1}
+            assert boost.BLOCK_ELEMS // (k * n) >= boost.BLOCK_MIN_ROUNDS
+            assert -(-rounds // (boost.BLOCK_ELEMS // (k * n))) == blocks
+            rows = rng.normal(size=(n, d))
+            want = round_order_scores(model, rows).tobytes()
+            assert model.scores(rows).tobytes() == want
+            assert list(model.staged_scores(rows))[-1].tobytes() == want
 
     def test_scoring_memory_stays_within_one_block_of_the_walk(self):
         """Scoring `rebel predict`'s benchmark shape (10k x 20, 300 stumps,
