@@ -54,15 +54,15 @@ GOLDEN_ITERS = 8  # golden-section steps of a smoothed-risk round's line search
 _RATIO = float((np.sqrt(5.0) - 1.0) / 2.0)
 
 
-# Rounds per block of the scoring walk: BLOCK_ELEMS // (K * N), so a block's
+# Rounds per block of `scores`' block path: BLOCK_ELEMS // (K * N), so a block's
 # (b, N, K) steps hold about BLOCK_ELEMS doubles (512 KB).  At 64 rows a block
-# holds hundreds of rounds, and the walk makes a few NumPy calls per block
+# holds hundreds of rounds, and the path makes a few NumPy calls per block
 # instead of per round.  Of 16k to 128k, 64k was the fastest or within 3% of
 # it at 64, 500 and 2000 rows (100 stumps at K=4, d=2; 300 at K=5, d=20;
 # 2-vCPU Xeon); 16k was 11-70% slower, 32k up to 15% slower.
 BLOCK_ELEMS = 1 << 16
-# Fewest rounds a block must hold; with fewer (large N, or a short model) the
-# walk takes one round at a time.  Measured with the row gather (predict_all,
+# Fewest rounds a block must hold; with fewer (large N, or a short model)
+# `scores` walks one round at a time.  Measured with the row gather (predict_all,
 # in process, block path over per-round path): at K=5 (300 stumps) 0.69 at
 # 1000 rows, 0.71-0.91 at 1500-2500, 1.5-1.6 at 2800-3000, 1.8 at 4000-6000
 # and 2.4 at 10k; at K=4 (100 and 300 stumps) 0.47 at 1000, 0.57-0.76 at
@@ -145,55 +145,44 @@ class StrongClassifier:
         deep = [t for t, (tree, _) in enumerate(rounds) if tree.depth > 1]
         return _Pack(feature, threshold, offset, table, deep)
 
-    def _walk(self, features: np.ndarray, every_round: bool) -> Iterator[np.ndarray]:
-        """(N, K) running scores: a0 first, then after each round, or after
-        each block of rounds on the block path without `every_round`.
+    def _rounds(self, by_column: np.ndarray) -> Iterator[np.ndarray]:
+        """Class-major (K, N) running scores: a0 first, then after each round.
 
         Yields one buffer, updated in place.  Each round adds a * out per
         sample, out in {-1.0, +1.0}: exact, with the signed zeros of +a and
         -a, and free of the per-element branch of a select.  Rounds are
         added in order, one elementwise add each: a reordered sum (a matmul
-        over rounds, say) would change the low bits.
-
-        When a block of `BLOCK_ELEMS` holds at least `BLOCK_MIN_ROUNDS`
-        rounds, the steps come a block at a time, in as few blocks of equal
-        size (up to one round) as that takes: one gather-and-compare of
-        the block's root stumps, then one gather of rows from `_pack`'s
-        table, which holds each round's vector times -1.0 and times +1.0,
-        indexed by 2t + side, into a sample-major (b, N, K) block.  A
-        stump's polarity is folded into its vector, which is exact:
-        (p*a)*s == a*(p*s) for p, s = +-1.  A deeper tree's row of sides
-        comes from `Tree.plus_side`.  The pack is built on the first
-        block-path call and kept with the model, so a model scored again
-        skips that walk over its trees; the buffers are per call.
-        With `every_round` a block's steps are added and yielded one round
-        at a time; without it they are added in one ordered reduction.
-        Otherwise the walk runs class-major, each round's step one (K, N)
-        multiply of its vector by its +-1 outputs, and yields the
-        transposed view of its (K, N) sums.
+        over rounds, say) would change the low bits.  Each step is one
+        (K, N) multiply of the round's vector by its +-1 outputs.
         """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.d:
-            raise ValueError(f"expected (N, {self.d}) features, got {features.shape}")
-        # a feature-major copy, so that each node reads one contiguous row
-        by_column = np.ascontiguousarray(features.T).T
-        n = features.shape[0]
-        total = len(self.rounds)
-        size = min(total, BLOCK_ELEMS // max(1, self.k * n))
-        if size < BLOCK_MIN_ROUNDS:
-            h = np.repeat(self.a0[:, None], n, axis=1)
-            yield h.T
-            step = np.empty_like(h)
-            for tree, vector in self.rounds:
-                # a bool array indexes `_SIGNS` as 0/1; positional out arguments,
-                # since at small N the cost is call overhead
-                np.multiply(vector[:, None], _SIGNS.take(tree.plus_side(by_column)), step)
-                np.add(h, step, h)
-                yield h.T
-            return
-
-        h = np.repeat(self.a0[None, :], n, axis=0)
+        h = np.repeat(self.a0[:, None], by_column.shape[0], axis=1)
         yield h
+        step = np.empty_like(h)
+        for tree, vector in self.rounds:
+            # a bool array indexes `_SIGNS` as 0/1; positional out arguments,
+            # since at small N the cost is call overhead
+            np.multiply(vector[:, None], _SIGNS.take(tree.plus_side(by_column)), step)
+            np.add(h, step, h)
+            yield h
+
+    def _block_sums(self, by_column: np.ndarray, size: int) -> np.ndarray:
+        """The (N, K) scores, summed a block of up to `size` rounds at a time.
+
+        The blocks are as few as that size needs, sized evenly (up to one
+        round).  Each is one gather-and-compare of the block's root stumps,
+        then one gather of rows from `_pack`'s table, which holds each
+        round's vector times -1.0 and times +1.0, indexed by 2t + side, into
+        a sample-major (b, N, K) block.  A stump's polarity is folded into
+        its vector, which is exact: (p*a)*s == a*(p*s) for p, s = +-1.  A
+        deeper tree's row of sides comes from `Tree.plus_side`.  The pack is
+        built on the first call and kept with the model, so a model scored
+        again skips that walk over its trees; the buffers are per call.
+        Each block's steps are added in one ordered reduction, which gives
+        the bits of `_rounds`' adds.
+        """
+        n = by_column.shape[0]
+        total = len(self.rounds)
+        h = np.repeat(self.a0[None, :], n, axis=0)
         # as few blocks as that size needs, sized evenly, so that no buffer
         # holds rounds its block lacks
         blocks = -(-total // size)
@@ -217,34 +206,44 @@ class StrongClassifier:
             np.add(side[:b], offset[start:stop], index[:b])
             # every index is in range; "raise" would buffer the output
             table.take(index[:b], 0, steps[1:b + 1], mode="clip")
-            if every_round:
-                for step in steps[1:b + 1]:
-                    np.add(h, step, h)
-                    yield h
-                continue
             # A reduction over the outer axis adds whole (N, K) rows in order,
-            # ((h + s1) + s2) + ..., one elementwise add each: the bits of the
-            # adds above (NumPy would reduce a row of one score pairwise, but
-            # K >= 2).  It starts from `initial`, and -0.0 + x == x for
+            # ((h + s1) + s2) + ..., one elementwise add each: the bits of
+            # `_rounds`' adds (NumPy would reduce a row of one score pairwise,
+            # but K >= 2).  It starts from `initial`, and -0.0 + x == x for
             # every x, where NumPy's default +0.0 turns a -0.0 sum into +0.0.
             steps[0] = h
             np.add.reduce(steps[:b + 1], axis=0, out=h, initial=-0.0)
-            yield h
+        return h
+
+    def _by_column(self, features: np.ndarray) -> np.ndarray:
+        """The (N, d) features as float64, checked, in a feature-major copy,
+        so that each node reads one contiguous row."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.d:
+            raise ValueError(f"expected (N, {self.d}) features, got {features.shape}")
+        return np.ascontiguousarray(features.T).T
 
     def staged_scores(self, features: np.ndarray) -> Iterator[np.ndarray]:
         """(N, K) scores after each round, bit-identical to `scores` of each prefix.
 
         Each stage is a new C-contiguous array, as `scores` returns.
         """
-        stages = self._walk(features, every_round=True)
+        stages = self._rounds(self._by_column(features))
         next(stages)
         for h in stages:
-            yield h.copy()  # a new C-ordered array; h is the walk's buffer, updated in place
+            yield h.T.copy()  # a new C-ordered array; h is the walk's buffer, updated in place
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        for h in self._walk(features, every_round=False):
+        """(N, K) scores, C-contiguous: by `_block_sums` when a block of
+        `BLOCK_ELEMS` holds at least `BLOCK_MIN_ROUNDS` rounds, else the last
+        stage of `_rounds`."""
+        by_column = self._by_column(features)
+        size = min(len(self.rounds), BLOCK_ELEMS // max(1, self.k * by_column.shape[0]))
+        if size >= BLOCK_MIN_ROUNDS:
+            return self._block_sums(by_column, size)
+        for h in self._rounds(by_column):
             pass
-        return np.ascontiguousarray(h)
+        return np.ascontiguousarray(h.T)
 
 
 @dataclass

@@ -150,10 +150,7 @@ def loss_floor(costs: CostMatrix, labels: np.ndarray) -> tuple[float, float]:
 
 def normalize_random_unit(costs: CostMatrix, labels: np.ndarray) -> CostMatrix:
     """Rescale costs so a uniform random guesser pays 1 on average over `labels`."""
-    labels = np.asarray(labels)
-    if labels.min() < 1 or labels.max() > costs.k:
-        raise ValueError("labels out of range for cost matrix")
-    expected = float(np.mean(costs.entries[labels - 1].mean(axis=1)))
+    expected = float(np.mean(costs.entries[_label_index(costs, labels)].mean(axis=1)))
     if expected <= 0:
         raise ValueError("expected random-guess cost is zero; cannot normalize")
     return CostMatrix.from_array(costs.entries / expected)

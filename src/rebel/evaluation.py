@@ -23,10 +23,9 @@ def evaluate(model: "StrongClassifier", data: "Dataset",
     """
     if data.k != costs.k:
         raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
-    scores = model.scores(data.features)
-    if scores.shape[1] != costs.k:
-        raise ValueError(f"model scores {scores.shape[1]} classes, cost matrix {costs.k}")
-    preds = np.argmax(scores, axis=1) + 1
+    if model.k != costs.k:
+        raise ValueError(f"model scores {model.k} classes, cost matrix {costs.k}")
+    preds = np.argmax(model.scores(data.features), axis=1) + 1
     n = data.labels.shape[0]
     confusion = np.zeros((costs.k, costs.k), dtype=np.int64)
     np.add.at(confusion, (data.labels - 1, preds - 1), 1)

@@ -598,6 +598,30 @@ class TestScoringWalk:
             assert model.scores(rows).tobytes() == want
             assert list(model.staged_scores(rows))[-1].tobytes() == want
 
+    def test_only_scores_of_small_batches_take_the_block_path(self, monkeypatch):
+        """`scores` sums the benchmark's 64-row batches (300 stumps at K=5,
+        d=20; 100 at K=4, d=2) with `_block_sums`; `staged_scores` on the
+        same rows walks the rounds, and so does `scores` on 10k x 20 rows,
+        where a block would hold fewer than `BLOCK_MIN_ROUNDS` rounds."""
+        from conftest import random_model
+        calls = []
+        block_sums = StrongClassifier._block_sums
+        monkeypatch.setattr(StrongClassifier, "_block_sums",
+                            lambda model, *args: calls.append(model) or block_sums(model, *args))
+        rng = np.random.default_rng(21)
+        for rounds, d, k in ((300, 20, 5), (100, 2, 4)):
+            model = random_model(rounds, k=k, d=d, rounds=rounds)
+            rows = rng.normal(size=(64, d))
+            want = round_order_scores(model, rows).tobytes()
+            assert model.scores(rows).tobytes() == want
+            assert calls == [model]
+            assert list(model.staged_scores(rows))[-1].tobytes() == want
+            assert calls == [model]
+            calls.clear()
+        model = random_model(300, k=5, d=20, rounds=300)
+        model.scores(rng.normal(size=(10_000, 20)))
+        assert calls == []
+
     def test_scoring_memory_stays_within_one_block_of_the_walk(self):
         """Scoring `rebel predict`'s benchmark shape (10k x 20, 300 stumps,
         K=5) peaks under the per-round walk's arrays plus one block: the

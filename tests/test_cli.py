@@ -216,6 +216,24 @@ def test_bad_cost_cell_exits_2_naming_line_and_column(tmp_path, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cost_matrix_of_another_class_count_exits_2(tmp_path, capsys, command):
+    data = _three_class_train(tmp_path)
+    costs = tmp_path / "costs.csv"
+    costs.write_text("0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n")
+    model = tmp_path / "m.txt"
+    argv = ["--data", data, "--labels", "col:-1", "--costs", costs]
+    if command == "eval":
+        assert run(["train", "--data", data, "--labels", "col:-1", "--rounds", 2,
+                    "--out", model]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--model", model] + argv) == 2
+    else:
+        assert run(["train", "--rounds", 2, "--out", model] + argv) == 2
+        assert not model.exists()
+    assert "cost matrix has 4 classes, dataset has 3" in capsys.readouterr().err
+
+
 def _three_class_train(tmp_path):
     data = tmp_path / "train.csv"
     data.write_text("0.0,a\n1.0,b\n2.0,c\n0.5,a\n1.5,b\n2.5,c\n")

@@ -186,6 +186,14 @@ class TestNormalization:
     def test_rejects_out_of_range_labels(self, rng):
         with pytest.raises(ValueError):
             normalize_random_unit(random_costs(3, rng), np.array([0, 1]))
+        with pytest.raises(ValueError, match="labels out of range for cost matrix"):
+            normalize_random_unit(random_costs(3, rng), np.array([1, 4]))
+
+    @pytest.mark.parametrize("labels", [[[1, 2]], []])
+    def test_rejects_labels_that_are_not_one_row(self, rng, labels):
+        """2-D and empty labels are refused as `dataset_terms` refuses them."""
+        with pytest.raises(ValueError, match="labels must be a non-empty 1-D array"):
+            normalize_random_unit(random_costs(3, rng), np.array(labels, dtype=np.int64))
 
 
 class TestCostIO:

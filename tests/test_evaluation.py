@@ -32,6 +32,18 @@ def test_evaluate_rejects_mismatched_classes():
     data = Dataset.from_arrays(np.zeros((2, 1)), np.array([1, 2]), 2)
     with pytest.raises(ValueError):
         evaluate(model, data, CostMatrix.uniform(2))
+    with pytest.raises(ValueError, match="dataset has 2 classes, cost matrix 3"):
+        evaluate(model, data, CostMatrix.uniform(3))
+
+
+def test_evaluate_refuses_the_model_before_scoring():
+    """A model of 3 classes against a 4-class matrix is refused by its class
+    count, before its scores are computed: its features are too narrow to
+    score, and that error is not the one raised."""
+    model = StrongClassifier(k=3, d=2, a0=np.zeros(3), rounds=[])
+    data = Dataset.from_arrays(np.zeros((4, 1)), np.array([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match="model scores 3 classes, cost matrix 4"):
+        evaluate(model, data, CostMatrix.uniform(4))
 
 
 def test_evaluate_agrees_with_empirical_risk():
@@ -82,6 +94,12 @@ class TestSelectRounds:
         assert risks[best] == pytest.approx(min(risks.values()), abs=1e-15)
         # ties break toward the shortest model
         assert all(risks[t] > risks[best] - 1e-15 for t in range(1, best))
+
+    def test_rejects_mismatched_classes(self):
+        model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
+        data = Dataset.from_arrays(np.zeros((2, 1)), np.array([1, 2]), 2)
+        with pytest.raises(ValueError, match="dataset has 2 classes, cost matrix 3"):
+            select_rounds(model, data, CostMatrix.uniform(3))
 
     def test_tie_prefers_fewer_rounds(self):
         """Zero-vector rounds produce flat validation risk; pick the smallest count."""

@@ -120,6 +120,28 @@ class TestLoadDataset:
         np.testing.assert_array_equal(back.labels, data.labels)
 
 
+@pytest.mark.parametrize("features, labels, k, match", [
+    ([1.0, 2.0], [1, 2], 2, r"features must be a non-empty \(N, d\) array"),
+    (np.zeros((0, 2)), [], 2, r"features must be a non-empty \(N, d\) array"),
+    ([[1.0], [2.0]], [1, 2, 1], 2, "labels must be 1-D and aligned with features"),
+    ([[1.0], [2.0]], [[1], [2]], 2, "labels must be 1-D and aligned with features"),
+    ([[1.0], [np.nan]], [1, 2], 2, "features contain non-finite values"),
+    ([[1.0], [2.0]], [0, 1], 2, r"labels must lie in 1\.\.2"),
+    ([[1.0], [2.0]], [1, 3], 2, r"labels must lie in 1\.\.2"),
+    ([[1.0], [2.0]], [0, 2], None, r"labels must lie in 1\.\.2"),
+])
+def test_from_arrays_refuses_bad_arrays(features, labels, k, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset.from_arrays(np.asarray(features), np.asarray(labels, dtype=np.int64), k)
+
+
+def test_from_arrays_takes_k_from_the_largest_label():
+    data = Dataset.from_arrays([[1.0], [2.0], [3.0]], [3, 1, 3])
+    assert data.k == 3
+    np.testing.assert_array_equal(data.labels, [3, 1, 3])
+    assert Dataset.from_arrays([[1.0]], [1], k=4).k == 4
+
+
 def test_load_features_rejects_tokens(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("1.0,2.0\n3.0,x\n")
@@ -422,8 +444,14 @@ class TestModelFormat:
         ("rounds", "-1", "negative round count"),
         ("tree", "0", "bad tree depth"),
         ("tree", "4000000000", "bad tree depth 4000000000"),
+        ("a0", "1.0 x 2.0", "a0: bad float"),
+        ("a", "nan 1.0 2.0", "a: non-finite value"),
+        ("node", "x 0.5 1", "bad node fields in 'node x 0.5 1'"),
+        ("end", "x", "expected end, got 'end x'"),
     ])
     def test_range_errors_report_their_line(self, key, value, match):
+        """A value out of range, a field that is not a finite number and a
+        line that is not `end` are refused at their line's start."""
         lines = model_to_text(random_model(7, rounds=2)).split("\n")
         idx = next(i for i, line in enumerate(lines) if line.split()[0] == key)
         lines[idx] = f"{key} {value}"

@@ -100,6 +100,12 @@ class TestSpecFile:
         with pytest.raises(ValueError, match="widgets"):
             parse_spec_file(path)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "mix.spec"
+        path.write_text("k=3\n\nd 2\n")
+        with pytest.raises(ValueError, match="line 3: expected key=value"):
+            parse_spec_file(path)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "mix.spec"
         path.write_text("k=three\n")
@@ -122,6 +128,11 @@ class TestHarness:
         serial = run_comparison(n_datasets=2, n_matrices=2, rounds=3, seed=6, workers=1)
         pooled = run_comparison(n_datasets=2, n_matrices=2, rounds=3, seed=6, workers=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("n_datasets, n_matrices", [(0, 1), (1, 0)])
+    def test_empty_grid_is_refused(self, n_datasets, n_matrices):
+        with pytest.raises(ValueError, match="need at least one dataset and one cost matrix"):
+            run_comparison(n_datasets=n_datasets, n_matrices=n_matrices, rounds=2, seed=3)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_is_refused(self, workers):

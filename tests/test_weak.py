@@ -84,6 +84,15 @@ class TestGrid:
         grid = build_grid(np.array([[0.0], [10.0]]), 4)
         np.testing.assert_array_equal(grid.thresholds[0], [2.0, 4.0, 6.0, 8.0])
 
+    @pytest.mark.parametrize("features, n_tau, match", [
+        ([[0.0], [1.0]], 0, "n_tau must be >= 1"),
+        ([0.0, 1.0], 3, r"features must be a non-empty \(N, d\) array"),
+        (np.zeros((0, 2)), 3, r"features must be a non-empty \(N, d\) array"),
+    ])
+    def test_bad_inputs_are_refused(self, features, n_tau, match):
+        with pytest.raises(ValueError, match=match):
+            build_grid(np.asarray(features), n_tau)
+
     def test_cuts_are_interior(self, rng):
         x = rng.normal(size=(50, 3))
         grid = build_grid(x, 17)
@@ -474,6 +483,8 @@ class TestTree:
     def test_node_count_validation(self):
         with pytest.raises(ValueError):
             Tree(depth=2, nodes=[Stump(0, 0.0, 1)])
+        with pytest.raises(ValueError, match="tree depth must be >= 1"):
+            Tree(depth=0, nodes=[])
 
     def test_depth_two_routing(self):
         # root splits on feature 0 at 0; children split feature 1 at -1 and +1
