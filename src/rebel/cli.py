@@ -17,8 +17,8 @@ from .costs import CostMatrix
 from .evaluation import report_text, select_rounds
 from .io import (load_cost_matrix, load_dataset, load_features, load_model, save_cost_matrix,
                  save_dataset, save_model, write_trace)
-from .synth import (gen_cost_matrix, gen_dataset, parse_spec_file, pool_map,
-                    random_mixture_spec, run_comparison, win_fraction, write_comparison_csv)
+from .synth import (gen_cost_matrix, gen_dataset, pool_map, random_mixture_spec, run_comparison,
+                    win_fraction, write_comparison_csv)
 
 ORACLE_TOL = 1e-9
 
@@ -54,9 +54,8 @@ def cmd_train(args) -> int:
         if val.features.shape[1] != data.features.shape[1]:
             raise ValueError(f"{args.val}: {val.features.shape[1]} features, "
                              f"training data has {data.features.shape[1]}")
-    epsilon = None if args.epsilon == "auto" else float(args.epsilon)
     cfg = TrainConfig(rounds=args.rounds, tree_depth=args.depth, n_tau=args.ntau,
-                      epsilon=epsilon, fit_a0=not args.no_a0,
+                      epsilon=args.epsilon, fit_a0=not args.no_a0,
                       early_stop_on_certificate=not args.no_early_stop)
     model, trace = train(data, costs, cfg)
     save_model(model, args.out)
@@ -101,15 +100,12 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     # the flags given, passed on alone, so `random_mixture_spec` keeps the defaults
-    drawn = {"k": args.k, "clusters_per_class": args.clusters, "train_total": args.train_total,
-             "test_total": args.test_total, "seed": args.seed}
+    drawn = {"k": args.k, "clusters_per_class": args.clusters, "d": args.d,
+             "train_total": args.train_total, "test_total": args.test_total, "seed": args.seed}
     drawn = {key: value for key, value in drawn.items() if value is not None}
-    if args.spec and drawn:
-        raise ValueError("--spec gives the whole mixture; --k, --clusters, --train-total, "
-                         "--test-total and --seed draw a random one instead")
     if args.cost_seed is not None and not args.out_costs:
         raise ValueError("--cost-seed needs --out-costs")
-    spec = parse_spec_file(args.spec) if args.spec else random_mixture_spec(**drawn)
+    spec = random_mixture_spec(**drawn)
     train_data, test_data = gen_dataset(spec)
     save_dataset(train_data, args.out_train)
     save_dataset(test_data, args.out_test)
@@ -175,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rounds", type=int, required=True)
     t.add_argument("--depth", type=int, default=1, help="weak-learner tree depth")
     t.add_argument("--ntau", type=int, default=200, help="thresholds per feature")
-    t.add_argument("--epsilon", default="auto", help="smoothing, or 'auto' for 1/(2NK)")
+    t.add_argument("--epsilon", type=float, help="smoothing (default 1/(2NK))")
     t.add_argument("--no-a0", action="store_true", help="skip the constant-offset fit")
     t.add_argument("--no-early-stop", action="store_true",
                    help="ignore the zero-risk certificate while training")
@@ -201,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("synth", help="generate a synthetic problem")
-    s.add_argument("--spec", help="key=value mixture spec file")
-    # without --spec, these draw a random mixture; unset, they take its defaults
+    # these draw a random mixture; unset, they take its defaults
     s.add_argument("--k", type=int)
     s.add_argument("--clusters", type=int)
+    s.add_argument("--d", type=int, help="feature dimension")
     s.add_argument("--train-total", type=int)
     s.add_argument("--test-total", type=int)
     s.add_argument("--seed", type=int)

@@ -7,42 +7,44 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .boost import StrongClassifier, predict_all
 from .costs import CostMatrix
 from .loss import empirical_risk
 
 if TYPE_CHECKING:
-    from .boost import StrongClassifier
     from .io import Dataset
 
 
-def evaluate(model: "StrongClassifier", data: "Dataset",
-             costs: CostMatrix) -> tuple[np.ndarray, float, float]:
-    """Confusion counts (true class by row, 1-based order), error rate, and mean cost.
-
-    Error and risk are derived from the confusion matrix.
-    """
+def _check_classes(model: StrongClassifier, data: "Dataset", costs: CostMatrix) -> None:
     if data.k != costs.k:
         raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
     if model.k != costs.k:
         raise ValueError(f"model scores {model.k} classes, cost matrix {costs.k}")
-    preds = np.argmax(model.scores(data.features), axis=1) + 1
+
+
+def evaluate(model: StrongClassifier, data: "Dataset",
+             costs: CostMatrix) -> tuple[np.ndarray, float, float]:
+    """Confusion counts (true class by row, 1-based order), error rate, and mean cost.
+
+    The predictions are `predict_all`'s and the mean cost is `empirical_risk`,
+    as in `select_rounds` and the comparison grid.
+    """
+    _check_classes(model, data, costs)
+    preds = predict_all(model, data.features)
     n = data.labels.shape[0]
-    confusion = np.zeros((costs.k, costs.k), dtype=np.int64)
-    np.add.at(confusion, (data.labels - 1, preds - 1), 1)
-
+    k = costs.k
+    confusion = np.bincount((data.labels - 1) * k + preds - 1, minlength=k * k).reshape(k, k)
     error = float((n - np.trace(confusion)) / n)
-    risk = float(np.sum(confusion * costs.entries) / n)
-    return confusion, error, risk
+    return confusion, error, empirical_risk(preds, data.labels, costs)
 
 
-def select_rounds(model: "StrongClassifier", data: "Dataset", costs: CostMatrix) -> int:
+def select_rounds(model: StrongClassifier, data: "Dataset", costs: CostMatrix) -> int:
     """Round count in 1..T with the lowest validation risk (ties to the smallest).
 
     Walks the model's staged scores, so the scan costs one model evaluation
     rather than one per candidate.  A model with no rounds returns 0.
     """
-    if data.k != costs.k:
-        raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
+    _check_classes(model, data, costs)
     best_t = 0
     best_risk = np.inf
     for t, h in enumerate(model.staged_scores(data.features), 1):

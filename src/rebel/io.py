@@ -142,12 +142,12 @@ def _float_columns(path, lines: list[tuple[int, str]], cols: list[int]) -> np.nd
 def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dataset:
     """Load a feature CSV plus labels from a column or a side file.
 
-    `labels` is "col:IDX" (0-based, negatives count from the end), a bare
-    integer meaning the same, or "file:PATH" pointing at one label token per
-    line.  Raw label tokens are mapped to 1..K by sorted order and the order
-    is kept in label_names.  Given `label_names` (a training set's, say),
-    tokens are mapped through them instead, K is their count, and a token
-    not among them is an error naming its file and line.
+    `labels` is "col:IDX" (0-based, negatives count from the end) or
+    "file:PATH" pointing at one label token per line.  Raw label tokens are
+    mapped to 1..K by sorted order and the order is kept in label_names.
+    Given `label_names` (a training set's, say), tokens are mapped through
+    them instead, K is their count, and a token not among them is an error
+    naming its file and line.
 
     Nonblank lines are stripped and must all hold the same number of
     comma-separated cells.  A label token is its stripped line's cell,
@@ -168,9 +168,10 @@ def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dat
         tokens = [token for _, token in numbered]
         feature_cols = list(range(width))
     else:
-        spec = labels[4:] if labels.startswith("col:") else labels
         try:
-            idx = int(spec)
+            if not labels.startswith("col:"):
+                raise ValueError
+            idx = int(labels[4:])
         except ValueError as exc:
             raise ValueError(f"bad label spec {labels!r}; use col:IDX or file:PATH") from exc
         if not -width <= idx < width:

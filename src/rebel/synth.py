@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import posterior_all, two_step_predict_all
 from .boost import TrainConfig, predict_all, train_many
 from .costs import CostMatrix, normalize_random_unit
-from .io import Dataset, nonblank_lines
+from .io import Dataset
 from .loss import empirical_risk
 
 MEAN_RANGE = (-5.0, 5.0)
@@ -200,24 +200,3 @@ def write_comparison_csv(rows: list[dict], path) -> None:
         for r in rows:
             fh.write(f"{r['trial_id']},{r['dataset_seed']},{r['cost_seed']},"
                      f"{r['rebel_risk']!r},{r['twostep_risk']!r},{r['winner']}\n")
-
-
-def parse_spec_file(path) -> MixtureSpec:
-    """key=value mixture description; unknown keys are rejected."""
-    allowed = {"k": int, "clusters_per_class": int, "d": int, "train_total": int,
-               "test_total": int, "seed": int}
-    kwargs = {}
-    for line_no, line in nonblank_lines(path):
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise ValueError(f"{path}: line {line_no}: unknown key {key!r}")
-        try:
-            kwargs[key] = allowed[key](value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return random_mixture_spec(**kwargs)

@@ -17,8 +17,8 @@ from rebel.boost import (NumericOverflowError, StrongClassifier, TrainConfig,
 from rebel.costs import CostMatrix, dataset_terms, loss_floor
 from rebel.io import Dataset, model_from_text, model_to_text
 from rebel.loss import smoothed_risk
-from rebel.weak import (SELECT_MAX_DEPTH, Stump, Tree, accumulate_split, class_major,
-                        split_value)
+from rebel.weak import (SELECT_MAX_DEPTH, SplitScores, Stump, Tree, accumulate_split,
+                        class_major, split_value)
 
 
 def separable_problem(seed=0, n=60, k=3):
@@ -259,6 +259,28 @@ class TestTrainingInvariants:
         assert trace.stopped in ("rounds", "floor")
         assert len(trace.rounds) >= 1
 
+    @pytest.mark.parametrize("k, stop_round", [(2, 9), (3, 133)])
+    def test_floor_stop_waits_for_an_excess_of_1e_12(self, k, stop_round):
+        """Driven to the floor (a tiny epsilon, no certificate stop), training stops
+        on the first round whose loss excess is at most 1e-12.  Most rounds before
+        it have an excess in (1e-12, 1e-6], so a looser threshold stops earlier."""
+        data, costs = separable_problem(n=60, k=k)
+        _, trace = train(data, costs, TrainConfig(rounds=3000, epsilon=1e-12,
+                                                  early_stop_on_certificate=False))
+        assert trace.stopped == "floor"
+        assert len(trace.rounds) == stop_round
+        assert trace.rounds[-1].excess <= 1e-12 < trace.rounds[-2].excess
+        assert sum(1e-12 < r.excess <= 1e-6 for r in trace.rounds) > stop_round // 2
+
+    def test_edge_is_nan_where_its_denominator_is_not_positive(self):
+        """A mass at or below the floor leaves no edge to claim: a zero or negative
+        denominator gives nan, whatever the numerator, not inf."""
+        scores = SplitScores(s_plus=np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 1.0]]),
+                             s_minus=np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0]]))
+        gamma, phi = boost.edge(scores, np.array([2.0, 3.0, 3.0]), np.full(3, 0.5))
+        np.testing.assert_array_equal(gamma, [np.nan, np.nan, 2.0 / 3.0])
+        np.testing.assert_array_equal(phi, [np.nan, np.nan, 1.0 / 3.0])
+
     def test_phi_stays_in_unit_range_above_certificate(self):
         for seed in (2, 12, 22):
             data, costs = random_problem(seed, n=80, d=3, k=3)
@@ -345,6 +367,20 @@ class TestSmoothedRiskPhase:
             sqrt_prod *= np.sqrt(1.0 - r.phi ** 2)
             assert (r.loss - trace.floor) / denom <= sqrt_prod + 1e-9
         assert all(np.isnan(r.gamma) and np.isnan(r.phi) for r in risk_rounds)
+
+    def test_line_search_keeps_no_step_that_leaves_the_risk_equal(self):
+        """A training whose every probe leaves its smoothed risk equal gets a zero
+        vector, and so reports "stalled"; another in the same stack still steps.
+        The first one's scores are so large that no probe moves them: a step
+        moves a score by at most 1/TEMPERATURE, under half an ulp of 1e20."""
+        h = np.array([[[1e20, -1e20, 1e20], [-1e20, 1e20, -1e20]], np.zeros((2, 3))])
+        cost_rows = np.array([[[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]]] * 2)
+        before = smoothed_risk(h, cost_rows, boost.TEMPERATURE)[0]
+        direction = np.array([[1.0, -1.0], [1.0, -1.0]])
+        outputs = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+        vectors, risks = boost._line_search(h, cost_rows, before, direction, outputs)
+        assert not vectors[0].any() and risks[0] == before[0]
+        assert vectors[1].any() and risks[1] < before[1]
 
     def test_equal_off_diagonal_costs_never_switch(self, monkeypatch):
         monkeypatch.setattr(boost, "WARM_ROUNDS", 5)

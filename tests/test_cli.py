@@ -6,8 +6,8 @@ import pytest
 
 import rebel.cli as cli
 from rebel.boost import NumericOverflowError
-from rebel.io import load_model
-from rebel.synth import random_mixture_spec
+from rebel.io import load_dataset, load_model
+from rebel.synth import gen_dataset, random_mixture_spec
 
 
 def run(argv):
@@ -146,18 +146,35 @@ def test_workers_default_to_one_whatever_the_environment(monkeypatch):
 
 @pytest.mark.parametrize("flag", ["--k", "--clusters", "--train-total", "--test-total", "--seed"])
 def test_synth_spec_with_a_mixture_flag_exits_2(tmp_path, capsys, flag):
-    """A spec file gives the whole mixture, so a flag that draws a random one
-    is refused, not ignored; the spec alone, and the flag alone, still run."""
+    """The mixture comes from flags only: `--spec` is refused, alone or with a
+    mixture flag, before anything is written; the flag alone still runs."""
     spec = tmp_path / "mix.spec"
     spec.write_text("k=3\nclusters_per_class=1\ntrain_total=30\ntest_total=12\nseed=4\n")
     out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
-    assert run(["synth", "--spec", spec, flag, 5] + out) == 2
-    assert "--spec gives the whole mixture" in capsys.readouterr().err
+    for argv in (["synth", "--spec", spec, flag, 5] + out, ["synth", "--spec", spec] + out):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --spec" in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
-    assert run(["synth", "--spec", spec] + out) == 0
-    assert "30 train / 12 test samples, k=3" in capsys.readouterr().out
     assert run(["synth", flag, 5] + out) == 0
     capsys.readouterr()
+
+
+def test_synth_flags_write_what_the_generator_draws(tmp_path, capsys):
+    """Each flag is `random_mixture_spec`'s argument: the files are the
+    datasets it draws, `--d` setting the feature count."""
+    out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
+    assert run(["synth", "--k", 3, "--clusters", 1, "--d", 3, "--train-total", 30,
+                "--test-total", 12, "--seed", 4] + out) == 0
+    assert "30 train / 12 test samples, k=3" in capsys.readouterr().out
+    drawn = gen_dataset(random_mixture_spec(k=3, clusters_per_class=1, d=3, train_total=30,
+                                            test_total=12, seed=4))
+    for path, want in zip(out[1::2], drawn):
+        data = load_dataset(path, "col:-1")
+        assert data.features.shape == (want.labels.shape[0], 3)
+        np.testing.assert_array_equal(data.features, want.features)
+        np.testing.assert_array_equal(data.labels, want.labels)
 
 
 def test_synth_flags_left_unset_take_the_generator_defaults(tmp_path, monkeypatch, capsys):
@@ -167,7 +184,8 @@ def test_synth_flags_left_unset_take_the_generator_defaults(tmp_path, monkeypatc
     out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
     assert run(["synth"] + out) == 0
     assert run(["synth", "--clusters", 1, "--test-total", 20] + out) == 0
-    assert seen == [{}, {"clusters_per_class": 1, "test_total": 20}]
+    assert run(["synth", "--d", 3] + out) == 0
+    assert seen == [{}, {"clusters_per_class": 1, "test_total": 20}, {"d": 3}]
     assert "1000 train / 20 test samples, k=4" in capsys.readouterr().out
 
 
@@ -197,11 +215,21 @@ def test_bad_flags_exit_2(capsys):
 
 
 def test_bad_epsilon_exits_2(tmp_path, capsys):
+    """`--epsilon` is a number; left out, it is 1/(2NK), so `auto` is no value."""
     data = tmp_path / "d.csv"
     data.write_text("0.0,a\n1.0,b\n")
+    model = tmp_path / "m.txt"
+    for value in ("wat", "auto"):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", data, "--labels", "col:-1", "--rounds", 2,
+                 "--epsilon", value, "--out", model])
+        assert exc.value.code == 2
+        assert f"--epsilon: invalid float value: '{value}'" in capsys.readouterr().err
+    assert not model.exists()
     assert run(["train", "--data", data, "--labels", "col:-1", "--rounds", 2,
-                "--epsilon", "wat", "--out", tmp_path / "m.txt"]) == 2
+                "--epsilon", "0.25", "--out", model]) == 0
     capsys.readouterr()
+    assert "epsilon=0.25 " in load_model(model).fingerprint
 
 
 def test_bad_cost_cell_exits_2_naming_line_and_column(tmp_path, capsys):

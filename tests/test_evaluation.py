@@ -53,22 +53,25 @@ def test_evaluate_agrees_with_empirical_risk():
     assert confusion.sum() == 90
     from rebel.boost import predict_all
     preds = predict_all(model, data.features)
-    assert risk == pytest.approx(empirical_risk(preds, data.labels, costs), rel=1e-12)
-    assert error == pytest.approx(float(np.mean(preds != data.labels)), abs=1e-15)
+    assert risk == empirical_risk(preds, data.labels, costs)
+    assert error == float(np.mean(preds != data.labels))
 
 
 def test_error_and_risk_match_per_sample_path():
-    """The confusion-matrix error and risk equal the per-sample figures."""
+    """The confusion counts, error and risk equal the per-sample figures."""
     from rebel.boost import predict_all
     for seed in range(20):
         k = 2 + seed % 4
         data, costs = random_problem(200 + seed, n=30 + 7 * seed, d=3, k=k)
         model = (train(data, costs, TrainConfig(rounds=3 + seed))[0] if seed % 4 == 0
                  else random_model(seed, k=k, d=3, depth=1 + seed % 3, rounds=seed))
-        _, error, risk = evaluate(model, data, costs)
+        confusion, error, risk = evaluate(model, data, costs)
         preds = predict_all(model, data.features)
-        assert abs(error - np.mean(preds != data.labels)) < 1e-12
-        assert abs(risk - empirical_risk(preds, data.labels, costs)) < 1e-9 * max(1.0, abs(risk))
+        counted = np.zeros((k, k), dtype=np.int64)
+        np.add.at(counted, (data.labels - 1, preds - 1), 1)
+        np.testing.assert_array_equal(confusion, counted)
+        assert error == np.mean(preds != data.labels)
+        assert risk == empirical_risk(preds, data.labels, costs)
 
 
 class TestSelectRounds:
@@ -99,6 +102,14 @@ class TestSelectRounds:
         model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
         data = Dataset.from_arrays(np.zeros((2, 1)), np.array([1, 2]), 2)
         with pytest.raises(ValueError, match="dataset has 2 classes, cost matrix 3"):
+            select_rounds(model, data, CostMatrix.uniform(3))
+
+    def test_rejects_a_model_of_another_class_count(self):
+        """Refused before the stages are walked, as `evaluate` refuses it."""
+        model = StrongClassifier(k=2, d=1, a0=np.zeros(2),
+                                 rounds=[(Tree.from_stump(Stump(0, 0.0, 1)), np.array([1.0, -1.0]))])
+        data = Dataset.from_arrays(np.array([[0.0], [1.0], [2.0]]), np.array([1, 2, 3]), 3)
+        with pytest.raises(ValueError, match="model scores 2 classes, cost matrix 3"):
             select_rounds(model, data, CostMatrix.uniform(3))
 
     def test_tie_prefers_fewer_rounds(self):

@@ -40,10 +40,12 @@ class TestLoadDataset:
         np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_bare_integer_spec(self, tmp_path):
+        """A label spec is `col:IDX` or `file:PATH`; a bare integer is refused."""
         path = tmp_path / "d.csv"
         path.write_text("a,1.0\nb,2.0\n")
-        data = load_dataset(path, "0")
-        np.testing.assert_array_equal(data.features, [[1.0], [2.0]])
+        for spec in ("0", "-1"):
+            with pytest.raises(ValueError, match=f"bad label spec '{spec}'; use col:IDX or file:PATH"):
+                load_dataset(path, spec)
 
     def test_label_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -66,8 +68,9 @@ class TestLoadDataset:
     def test_bad_label_spec(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,a\n")
-        with pytest.raises(ValueError, match="bad label spec"):
-            load_dataset(path, "col:last")
+        for spec in ("col:last", "col0", "COL:0", "0:col", "file"):
+            with pytest.raises(ValueError, match=f"bad label spec '{spec}'"):
+                load_dataset(path, spec)
 
     def test_label_column_out_of_range(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from rebel.synth import (MixtureSpec, gen_cost_matrix, gen_dataset, parse_spec_file,
-                         random_mixture_spec, run_comparison, win_fraction, write_comparison_csv)
+from rebel.synth import (gen_cost_matrix, gen_dataset, random_mixture_spec, run_comparison,
+                         win_fraction, write_comparison_csv)
 
 
 class TestMixtureSpec:
@@ -29,13 +29,31 @@ class TestMixtureSpec:
     def test_validate_rejects_bad_covariance(self):
         spec = random_mixture_spec(k=2, seed=1)
         spec.covariances[0][0] = np.array([[1.0, 2.0], [2.0, 1.0]])  # not PSD
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="covariance not positive definite"):
             spec.validate()
 
     def test_validate_rejects_bad_counts(self):
         spec = random_mixture_spec(k=2, seed=1)
         spec.train_counts[0] = 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="train counts must be >= 1"):
+            spec.validate()
+
+    @pytest.mark.parametrize("breakage, message", [
+        (lambda s: setattr(s, "k", 1), "for k >= 2 classes"),
+        (lambda s: s.means.pop(), "for k >= 2 classes"),
+        (lambda s: s.test_counts.append(5), "per-class train and test counts"),
+        (lambda s: s.means[1].pop(), "matching non-empty mean/cov lists"),
+        (lambda s: (s.means[1].clear(), s.covariances[1].clear()),
+         "matching non-empty mean/cov lists"),
+        (lambda s: s.means[1].__setitem__(0, np.zeros(3)), "inconsistent mixture dimensions"),
+        (lambda s: s.covariances[1].__setitem__(0, np.eye(3)), "inconsistent mixture dimensions"),
+        (lambda s: s.covariances[1].__setitem__(0, np.array([[1.0, 0.5], [0.0, 1.0]])),
+         "covariance not symmetric"),
+    ])
+    def test_validate_names_each_broken_rule(self, breakage, message):
+        spec = random_mixture_spec(k=2, seed=1)
+        breakage(spec)
+        with pytest.raises(ValueError, match=message):
             spec.validate()
 
 
@@ -82,35 +100,6 @@ class TestCostDraws:
         costs = gen_cost_matrix(3, 11, labels=labels)
         guess = float(np.mean(costs.entries[labels - 1].mean(axis=1)))
         assert guess == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSpecFile:
-    def test_parse_round_trip(self, tmp_path):
-        path = tmp_path / "mix.spec"
-        path.write_text("# comment\nk=3\nclusters_per_class=1\nd=2\n"
-                        "train_total=30\ntest_total=12\nseed=4\n\n")
-        spec = parse_spec_file(path)
-        assert spec.k == 3
-        assert spec.seed == 4
-        assert sum(spec.train_counts) == 30
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "mix.spec"
-        path.write_text("k=3\nwidgets=9\n")
-        with pytest.raises(ValueError, match="widgets"):
-            parse_spec_file(path)
-
-    def test_line_without_equals_rejected(self, tmp_path):
-        path = tmp_path / "mix.spec"
-        path.write_text("k=3\n\nd 2\n")
-        with pytest.raises(ValueError, match="line 3: expected key=value"):
-            parse_spec_file(path)
-
-    def test_bad_value_rejected(self, tmp_path):
-        path = tmp_path / "mix.spec"
-        path.write_text("k=three\n")
-        with pytest.raises(ValueError):
-            parse_spec_file(path)
 
 
 class TestHarness:
