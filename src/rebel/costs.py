@@ -41,27 +41,26 @@ import numpy as np
 DIAGONAL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """K x K misclassification costs; entries[y, k] is the cost of predicting k on true class y."""
+    """K x K misclassification costs; entries[y, k] is the cost of predicting k on true class y.
+
+    Built from any square array: the entries are checked and kept as a
+    float64 copy with an exact-zero diagonal.  `==` is identity.
+    """
 
     entries: np.ndarray
-    k: int
 
-    @classmethod
-    def from_array(cls, entries) -> "CostMatrix":
-        arr = np.asarray(entries, dtype=np.float64)
+    def __post_init__(self):
+        arr = np.array(self.entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"cost matrix must be square, got shape {arr.shape}")
-        k = arr.shape[0]
-        if k < 2:
+        if arr.shape[0] < 2:
             raise ValueError("cost matrix needs at least 2 classes")
         if not np.all(np.isfinite(arr)):
             raise ValueError("cost matrix has non-finite entries")
-        diag = np.abs(np.diagonal(arr))
-        if np.any(diag > DIAGONAL_TOL):
+        if np.any(np.abs(np.diagonal(arr)) > DIAGONAL_TOL):
             raise ValueError("cost matrix diagonal must be zero")
-        arr = arr.copy()
         np.fill_diagonal(arr, 0.0)
         if np.any(arr < 0):
             raise ValueError("cost matrix has negative entries")
@@ -69,12 +68,16 @@ class CostMatrix:
         # off-diagonal max
         if np.any(arr.max(axis=1) <= 0):
             raise ValueError("every row needs a strictly positive off-diagonal entry")
-        return cls(entries=arr, k=k)
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def k(self) -> int:
+        return self.entries.shape[0]
 
     @classmethod
     def uniform(cls, k: int) -> "CostMatrix":
         """0-1 costs: every mistake costs 1."""
-        return cls.from_array(np.ones((k, k)) - np.eye(k))
+        return cls(np.ones((k, k)) - np.eye(k))
 
     def equal_off_diagonal(self) -> bool:
         """True when each row's mistakes all cost the same (0-1 costs up to a per-row scale).
@@ -82,9 +85,8 @@ class CostMatrix:
         Then c_minus sits on the true class alone, and the exponential
         surrogate already drives a certain class's margin without bound.
         """
-        off = ~np.eye(self.k, dtype=bool)
-        return bool(np.all(self.entries[off].reshape(self.k, self.k - 1)
-                           == self.entries.max(axis=1)[:, None]))
+        # phi - r is zero exactly where r == phi, and phi > 0 on the diagonal
+        return np.count_nonzero(_class_terms(self)[1]) == self.k
 
 
 def dataset_terms(costs: CostMatrix, labels: np.ndarray):
@@ -131,21 +133,16 @@ def loss_floor(costs: CostMatrix, labels: np.ndarray) -> tuple[float, float]:
     collapses the gap for that class pair.
     """
     labels = np.asarray(labels)
-    if costs.k < 2:
-        raise ValueError("need at least 2 classes")
-    cstar_all = _class_terms(costs)[2][_label_index(costs, labels)]
-    n = labels.shape[0]
-    floor = float(np.mean(0.5 * cstar_all))
+    rows, c_minus, cstar, phi = _class_terms(costs)
+    floor = float(np.mean(0.5 * cstar[_label_index(costs, labels)]))
 
     # the tie gap depends only on (true class, other class); rows of the
     # classes present, with the true class itself masked out
     present = np.unique(labels) - 1
-    r = costs.entries[present]
-    phi = r.max(axis=1, keepdims=True)
-    gap = 2.0 * np.sqrt(r * (2.0 * phi - r)) - 2.0 * np.sqrt(r * (phi - r))
+    r = rows[present]
+    gap = 2.0 * np.sqrt(r * (2.0 * phi[present, None] - r)) - 2.0 * np.sqrt(r * c_minus[present])
     gap[np.arange(present.size), present] = np.inf
-    certificate = floor + float(gap.min()) / (2.0 * n)
-    return floor, float(certificate)
+    return floor, floor + float(gap.min()) / (2.0 * labels.shape[0])
 
 
 def normalize_random_unit(costs: CostMatrix, labels: np.ndarray) -> CostMatrix:
@@ -153,4 +150,4 @@ def normalize_random_unit(costs: CostMatrix, labels: np.ndarray) -> CostMatrix:
     expected = float(np.mean(costs.entries[_label_index(costs, labels)].mean(axis=1)))
     if expected <= 0:
         raise ValueError("expected random-guess cost is zero; cannot normalize")
-    return CostMatrix.from_array(costs.entries / expected)
+    return CostMatrix(costs.entries / expected)

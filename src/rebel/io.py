@@ -38,7 +38,7 @@ class Dataset:
     def from_arrays(cls, features, labels, k: int | None = None) -> "Dataset":
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
-        if features.ndim != 2 or features.shape[0] == 0:
+        if features.ndim != 2 or features.size == 0:
             raise ValueError("features must be a non-empty (N, d) array")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be 1-D and aligned with features")
@@ -223,7 +223,7 @@ def load_cost_matrix(path) -> CostMatrix:
 
     The same line and width rules and the same two readers as `load_features`.
     """
-    return CostMatrix.from_array(load_features(path))
+    return CostMatrix(load_features(path))
 
 
 def save_cost_matrix(costs: CostMatrix, path) -> None:

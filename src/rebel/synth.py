@@ -36,14 +36,14 @@ class MixtureSpec:
             raise ValueError("spec needs per-class means/covariances for k >= 2 classes")
         if len(self.train_counts) != self.k or len(self.test_counts) != self.k:
             raise ValueError("spec needs per-class train and test counts")
-        if min(self.train_counts) < 1 or min(self.test_counts) < 0:
-            raise ValueError("train counts must be >= 1, test counts >= 0")
+        if min(self.train_counts) < 1 or min(self.test_counts) < 0 or sum(self.test_counts) < 1:
+            raise ValueError("train counts must be >= 1, test counts >= 0 with a positive total")
+        if any(len(m) != len(c) or not m for m, c in zip(self.means, self.covariances)):
+            raise ValueError("each class needs matching non-empty mean/cov lists")
         d = self.means[0][0].shape[0]
         for cls_means, cls_covs in zip(self.means, self.covariances):
-            if len(cls_means) != len(cls_covs) or not cls_means:
-                raise ValueError("each class needs matching non-empty mean/cov lists")
             for mu, cov in zip(cls_means, cls_covs):
-                if mu.shape != (d,) or cov.shape != (d, d):
+                if d < 1 or mu.shape != (d,) or cov.shape != (d, d):
                     raise ValueError("inconsistent mixture dimensions")
                 if not np.allclose(cov, cov.T, atol=1e-10):
                     raise ValueError("covariance not symmetric")
@@ -52,9 +52,8 @@ class MixtureSpec:
 
 
 def _split_total(total: int, k: int) -> list[int]:
-    base = total // k
-    counts = [base + (1 if i < total % k else 0) for i in range(k)]
-    return counts
+    """`total` dealt round-robin to `k` classes: the first total % k get one more."""
+    return [len(range(i, total, k)) for i in range(k)]
 
 
 def random_mixture_spec(k: int = 4, clusters_per_class: int = 2, d: int = 2,
@@ -119,7 +118,7 @@ def gen_cost_matrix(k: int, seed: int, labels: np.ndarray | None = None) -> Cost
     while np.any(entries[off] == 0.0):
         zero = (entries == 0.0) & off
         entries[zero] = np.abs(rng.normal(size=int(zero.sum())))
-    costs = CostMatrix.from_array(entries)
+    costs = CostMatrix(entries)
     if labels is not None:
         costs = normalize_random_unit(costs, labels)
     return costs

@@ -162,7 +162,7 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
     if n_tau < 1:
         raise ValueError("n_tau must be >= 1")
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
+    if features.ndim != 2 or features.size == 0:
         raise ValueError("features must be a non-empty (N, d) array")
     ticks = np.arange(1, n_tau + 1, dtype=np.float64) / (n_tau + 1)
     thresholds, buckets = [], []

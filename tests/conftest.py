@@ -11,7 +11,7 @@ def random_costs(k: int, rng) -> CostMatrix:
     """Strictly positive off-diagonal costs, zero diagonal."""
     arr = rng.uniform(0.2, 3.0, size=(k, k))
     np.fill_diagonal(arr, 0.0)
-    return CostMatrix.from_array(arr)
+    return CostMatrix(arr)
 
 
 def halves(weights):

@@ -70,7 +70,7 @@ class TestReduction:
 
 class TestTwoStep:
     def test_asymmetric_costs_flip_decision(self):
-        costs = CostMatrix.from_array(np.array([[0.0, 1.0], [10.0, 0.0]]))
+        costs = CostMatrix(np.array([[0.0, 1.0], [10.0, 0.0]]))
         # expected costs are [5, 0.5]: guessing class 2 is far cheaper
         assert two_step_predict_all(np.array([[0.5, 0.5]]), costs)[0] == 2
         assert two_step_predict_all(np.array([[0.5, 0.5]]), CostMatrix.uniform(2))[0] == 1
@@ -101,7 +101,7 @@ class TestTwoStep:
         assert post[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_batch_matches_single(self, rng):
-        costs = CostMatrix.from_array(np.array([
+        costs = CostMatrix(np.array([
             [0.0, 0.3, 2.0], [1.5, 0.0, 0.4], [0.2, 3.0, 0.0]]))
         posts = rng.dirichlet(np.ones(3), size=25)
         batch = two_step_predict_all(posts, costs)

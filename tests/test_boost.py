@@ -147,7 +147,7 @@ class TestTrainingInvariants:
             try:
                 # epsilon 0 lets a pure side's vector reach inf, and nan follows
                 with np.errstate(all="ignore"):
-                    _, trace = train(data, CostMatrix.from_array(entries), cfg)
+                    _, trace = train(data, CostMatrix(entries), cfg)
             except NumericOverflowError as exc:
                 event("overflow")
                 assert 0 <= exc.round_index <= rounds  # round 0: the a0 fit
@@ -385,7 +385,7 @@ class TestSmoothedRiskPhase:
     def test_equal_off_diagonal_costs_never_switch(self, monkeypatch):
         monkeypatch.setattr(boost, "WARM_ROUNDS", 5)
         data, _ = random_problem(5, n=60, d=3, k=3)
-        costs = CostMatrix.from_array((np.ones((3, 3)) - np.eye(3)) * [[1.0], [2.0], [0.5]])
+        costs = CostMatrix((np.ones((3, 3)) - np.eye(3)) * [[1.0], [2.0], [0.5]])
         _, trace = train(data, costs, TrainConfig(rounds=20, early_stop_on_certificate=False))
         assert len(trace.rounds) == 20
         assert all(r.phase == "exp" for r in trace.rounds)
@@ -415,7 +415,7 @@ def _lockstep_case(draw):
         else:
             entries = 10.0 ** draw(arrays(np.float64, (k, k), elements=st.floats(0.0, 6.0)))
         np.fill_diagonal(entries, 0.0)
-        matrices.append(CostMatrix.from_array(entries))
+        matrices.append(CostMatrix(entries))
     cfg = TrainConfig(rounds=draw(st.integers(1, 30)), tree_depth=draw(st.integers(1, 3)),
                       n_tau=draw(st.sampled_from([1, 3, 20])),
                       epsilon=draw(st.sampled_from([None, 0.0, 1e-300])),

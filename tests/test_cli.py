@@ -433,3 +433,29 @@ def test_synth_cost_seed_needs_out_costs(tmp_path, capsys):
     assert run(["synth", "--cost-seed", 0, "--out-costs", tmp_path / "c0.csv"] + out) == 0
     capsys.readouterr()
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "c0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", 0, "spec needs per-class means/covariances for k >= 2 classes"),
+    ("--clusters", 0, "each class needs matching non-empty mean/cov lists"),
+    ("--clusters", -1, "each class needs matching non-empty mean/cov lists"),
+    ("--d", 0, "inconsistent mixture dimensions"),
+    ("--test-total", 0, "train counts must be >= 1, test counts >= 0 with a positive total"),
+])
+def test_synth_refuses_an_empty_mixture(tmp_path, capsys, flag, value, message):
+    """Each of these once escaped as a traceback with exit 1, the code of a failed check."""
+    out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
+    assert run(["synth", flag, value] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_oracle_check_refuses_zero_features(capsys):
+    """`--d 0` once passed the "(N, d)" check and failed at the split search instead,
+    with "every feature is constant; nothing to split on"."""
+    assert run(["oracle-check", "--trials", 1, "--rounds", 2, "--n", 20, "--d", 0]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: features must be a non-empty (N, d) array\n"
+    assert captured.out == ""

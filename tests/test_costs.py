@@ -1,8 +1,11 @@
 """Cost-matrix validation, the row decomposition, and the loss floor."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_costs
+from conftest import random_costs, random_problem
+from rebel.boost import TrainConfig, train
 from rebel.costs import CostMatrix, dataset_terms, loss_floor, normalize_random_unit
 from rebel.io import load_cost_matrix, save_cost_matrix
 from reference_impl import decompose_row, sample_terms
@@ -13,7 +16,7 @@ ROW = np.array([0.0, 2.0, 6.0])
 
 def three_class_costs():
     # first row pinned to the worked example, the rest arbitrary but valid
-    return CostMatrix.from_array(np.array([
+    return CostMatrix(np.array([
         [0.0, 2.0, 6.0],
         [1.0, 0.0, 1.0],
         [3.0, 5.0, 0.0],
@@ -23,27 +26,27 @@ def three_class_costs():
 class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            CostMatrix.from_array(np.ones((2, 3)))
+            CostMatrix(np.ones((2, 3)))
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
-            CostMatrix.from_array(np.zeros((1, 1)))
+            CostMatrix(np.zeros((1, 1)))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            CostMatrix.from_array(np.array([[0.0, -1.0], [1.0, 0.0]]))
+            CostMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
-            CostMatrix.from_array(np.array([[0.5, 1.0], [1.0, 0.0]]))
+            CostMatrix(np.array([[0.5, 1.0], [1.0, 0.0]]))
 
     def test_tiny_diagonal_is_zeroed(self):
-        c = CostMatrix.from_array(np.array([[1e-14, 1.0], [1.0, -1e-15]]))
+        c = CostMatrix(np.array([[1e-14, 1.0], [1.0, -1e-15]]))
         assert c.entries[0, 0] == 0.0 and c.entries[1, 1] == 0.0
 
     def test_rejects_all_zero_row(self):
         with pytest.raises(ValueError):
-            CostMatrix.from_array(np.array([
+            CostMatrix(np.array([
                 [0.0, 0.0, 0.0],
                 [1.0, 0.0, 1.0],
                 [1.0, 1.0, 0.0],
@@ -51,7 +54,37 @@ class TestValidation:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            CostMatrix.from_array(np.array([[0.0, np.inf], [1.0, 0.0]]))
+            CostMatrix(np.array([[0.0, np.inf], [1.0, 0.0]]))
+
+    def test_unit_diagonal_is_refused(self):
+        """Not a cost matrix, and once trained to a "certificate" stop with floor 0."""
+        with pytest.raises(ValueError, match="cost matrix diagonal must be zero"):
+            CostMatrix(np.ones((3, 3)))
+
+    def test_negative_off_diagonal_is_refused(self):
+        """Once an IndexError inside training."""
+        with pytest.raises(ValueError, match="cost matrix has negative entries"):
+            CostMatrix(np.eye(3) - np.ones((3, 3)))
+
+    def test_class_count_is_the_entries_size(self):
+        """A 2 x 2 matrix is a 2-class one, so training it on 3 classes is refused up front."""
+        costs = CostMatrix(np.ones((2, 2)) - np.eye(2))
+        assert costs.k == 2
+        data, _ = random_problem(0, n=60, k=3)
+        with pytest.raises(ValueError, match="dataset has 3 classes, cost matrix 2"):
+            train(data, costs, TrainConfig(rounds=3))
+
+    def test_entries_are_a_checked_float64_copy(self):
+        given = np.array([[0, 1], [2, 0]])
+        costs = CostMatrix(given)
+        given[0, 1] = 5
+        assert costs.entries.dtype == np.float64
+        np.testing.assert_array_equal(costs.entries, [[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            costs.entries = np.ones((2, 2))
+        # a changed matrix is a new one, checked like any other
+        with pytest.raises(ValueError, match="cost matrix diagonal must be zero"):
+            dataclasses.replace(costs, entries=np.ones((2, 2)))
 
     def test_uniform(self):
         c = CostMatrix.uniform(4)
@@ -61,11 +94,17 @@ class TestValidation:
     def test_equal_off_diagonal(self, rng):
         assert CostMatrix.uniform(4).equal_off_diagonal()
         # per-row scales keep every row's mistakes alike
-        scaled = CostMatrix.from_array((np.ones((3, 3)) - np.eye(3)) * [[1.0], [2.5], [0.3]])
+        scaled = CostMatrix((np.ones((3, 3)) - np.eye(3)) * [[1.0], [2.5], [0.3]])
         assert scaled.equal_off_diagonal()
         # two classes: one mistake per row
         assert random_costs(2, rng).equal_off_diagonal()
         assert not three_class_costs().equal_off_diagonal()
+
+    def test_equal_off_diagonal_is_exact(self):
+        """A mistake one ulp cheaper than the row's dearest is a cheaper mistake."""
+        entries = np.ones((3, 3)) - np.eye(3)
+        entries[0, 2] = np.nextafter(1.0, 0.0)
+        assert not CostMatrix(entries).equal_off_diagonal()
 
 
 class TestDecomposition:

@@ -20,7 +20,7 @@ def test_evaluate_confusion_and_risk():
     # x > 0 predicts class 2, else class 1
     data = Dataset.from_arrays(np.array([[-1.0], [1.0], [2.0], [-2.0]]),
                                np.array([1, 2, 1, 2]), 2)
-    costs = CostMatrix.from_array(np.array([[0.0, 4.0], [1.0, 0.0]]))
+    costs = CostMatrix(np.array([[0.0, 4.0], [1.0, 0.0]]))
     confusion, error, risk = evaluate(model, data, costs)
     np.testing.assert_array_equal(confusion, [[1, 1], [1, 1]])
     assert error == pytest.approx(0.5)
@@ -133,7 +133,7 @@ def test_report_text_fields():
 
 def test_cost_checksum_tracks_content():
     a = CostMatrix.uniform(3)
-    b = CostMatrix.from_array(np.array([
+    b = CostMatrix(np.array([
         [0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 1.0, 0.0]]))
     assert cost_checksum(a) == cost_checksum(CostMatrix.uniform(3))
     assert cost_checksum(a) != cost_checksum(b)

@@ -132,6 +132,7 @@ class TestLoadDataset:
     ([[1.0], [2.0]], [0, 1], 2, r"labels must lie in 1\.\.2"),
     ([[1.0], [2.0]], [1, 3], 2, r"labels must lie in 1\.\.2"),
     ([[1.0], [2.0]], [0, 2], None, r"labels must lie in 1\.\.2"),
+    (np.zeros((2, 0)), [1, 2], 2, r"features must be a non-empty \(N, d\) array"),
 ])
 def test_from_arrays_refuses_bad_arrays(features, labels, k, match):
     with pytest.raises(ValueError, match=match):

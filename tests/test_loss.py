@@ -123,7 +123,7 @@ def test_smoothed_risk_tends_to_training_risk(rng):
 
 
 def test_empirical_risk_direct():
-    costs = CostMatrix.from_array(np.array([
+    costs = CostMatrix(np.array([
         [0.0, 2.0, 6.0],
         [1.0, 0.0, 1.0],
         [3.0, 5.0, 0.0],

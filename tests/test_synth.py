@@ -49,12 +49,27 @@ class TestMixtureSpec:
         (lambda s: s.covariances[1].__setitem__(0, np.eye(3)), "inconsistent mixture dimensions"),
         (lambda s: s.covariances[1].__setitem__(0, np.array([[1.0, 0.5], [0.0, 1.0]])),
          "covariance not symmetric"),
+        (lambda s: (s.means[0].clear(), s.covariances[0].clear()),
+         "matching non-empty mean/cov lists"),
     ])
     def test_validate_names_each_broken_rule(self, breakage, message):
         spec = random_mixture_spec(k=2, seed=1)
         breakage(spec)
         with pytest.raises(ValueError, match=message):
             spec.validate()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k": 0}, "for k >= 2 classes"),
+        ({"clusters_per_class": 0}, "matching non-empty mean/cov lists"),
+        ({"clusters_per_class": -1}, "matching non-empty mean/cov lists"),
+        ({"d": 0}, "inconsistent mixture dimensions"),
+        ({"test_total": 0}, "test counts >= 0 with a positive total"),
+    ])
+    def test_random_spec_refuses_with_the_rule_it_breaks(self, kwargs, message):
+        """Each of these once failed in the draw or in `validate` itself (ZeroDivisionError,
+        IndexError, or NumPy's reductions over empty arrays) instead of naming its rule."""
+        with pytest.raises(ValueError, match=message):
+            random_mixture_spec(**kwargs)
 
 
 class TestGenDataset:

@@ -63,7 +63,7 @@ def deep_risk_run():
     entries = rng.uniform(0.2, 3.0, size=(k, k))
     np.fill_diagonal(entries, 0.0)
     data = Dataset.from_arrays(features, labels, k)
-    model, trace = train(data, CostMatrix.from_array(entries),
+    model, trace = train(data, CostMatrix(entries),
                          TrainConfig(rounds=70, tree_depth=3, n_tau=50))
     return [("deep_risk", model, trace)]
 

@@ -88,6 +88,7 @@ class TestGrid:
         ([[0.0], [1.0]], 0, "n_tau must be >= 1"),
         ([0.0, 1.0], 3, r"features must be a non-empty \(N, d\) array"),
         (np.zeros((0, 2)), 3, r"features must be a non-empty \(N, d\) array"),
+        (np.zeros((2, 0)), 3, r"features must be a non-empty \(N, d\) array"),
     ])
     def test_bad_inputs_are_refused(self, features, n_tau, match):
         with pytest.raises(ValueError, match=match):
