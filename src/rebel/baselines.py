@@ -125,7 +125,7 @@ def random_binary_dataset(seed: int, n: int = 200, d: int = 5):
     labels[n // 2:] = 2
     shift = rng.uniform(0.3, 1.0, size=d) * np.where(labels[:, None] == 1, 1.0, -1.0)
     features = rng.normal(size=(n, d)) + shift
-    return Dataset.from_arrays(features, labels, k=2)
+    return Dataset(features, labels, k=2)
 
 
 def run_reduction_trial(seed: int, n: int = 200, d: int = 5, rounds: int = 50,

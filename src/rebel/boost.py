@@ -246,8 +246,10 @@ class StrongClassifier:
         return np.ascontiguousarray(h.T)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrainConfig:
+    """A training's settings, checked when built.  `==` is identity."""
+
     rounds: int
     tree_depth: int = 1
     n_tau: int = 200
@@ -255,7 +257,7 @@ class TrainConfig:
     fit_a0: bool = True
     early_stop_on_certificate: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.tree_depth < 1:
@@ -534,7 +536,6 @@ def train_many(data: "Dataset", costs_list: list[CostMatrix],
     the end, and then the error of the lowest-index failing one is raised,
     as training them one at a time would.
     """
-    cfg.validate()
     X = data.features
     n = X.shape[0]
     if n < 2:

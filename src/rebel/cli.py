@@ -17,8 +17,8 @@ from .costs import CostMatrix
 from .evaluation import report_text, select_rounds
 from .io import (load_cost_matrix, load_dataset, load_features, load_model, save_cost_matrix,
                  save_dataset, save_model, write_trace)
-from .synth import (gen_cost_matrix, gen_dataset, pool_map, random_mixture_spec, run_comparison,
-                    win_fraction, write_comparison_csv)
+from .synth import (check_seed, gen_cost_matrix, gen_dataset, pool_map, random_mixture_spec,
+                    run_comparison, win_fraction, write_comparison_csv)
 
 ORACLE_TOL = 1e-9
 
@@ -107,12 +107,14 @@ def cmd_synth(args) -> int:
         raise ValueError("--cost-seed needs --out-costs")
     spec = random_mixture_spec(**drawn)
     train_data, test_data = gen_dataset(spec)
+    # every draw before the first write, so a refused draw leaves no file
+    if args.out_costs:
+        costs = gen_cost_matrix(spec.k, args.cost_seed or 0, labels=train_data.labels)
     save_dataset(train_data, args.out_train)
     save_dataset(test_data, args.out_test)
     print(f"wrote {train_data.labels.shape[0]} train / {test_data.labels.shape[0]} test "
           f"samples, k={spec.k}")
     if args.out_costs:
-        costs = gen_cost_matrix(spec.k, args.cost_seed or 0, labels=train_data.labels)
         save_cost_matrix(costs, args.out_costs)
         print(f"wrote normalized cost matrix to {args.out_costs}")
     return 0
@@ -133,7 +135,7 @@ def cmd_oracle_check(args) -> int:
         raise ValueError("--trials must be >= 1")
     if not 0 <= args.debug_epsilon_scale < np.inf:
         raise ValueError("--debug-epsilon-scale must be finite and >= 0")
-    seeds = np.random.default_rng(args.seed).integers(1, 2 ** 31, size=args.trials)
+    seeds = np.random.default_rng(check_seed(args.seed)).integers(1, 2 ** 31, size=args.trials)
     trial = functools.partial(run_reduction_trial, n=args.n, d=args.d, rounds=args.rounds,
                               n_tau=args.ntau, epsilon_scale=args.debug_epsilon_scale)
     results = pool_map(trial, [int(s) for s in seeds], args.workers)
@@ -147,11 +149,14 @@ def cmd_oracle_check(args) -> int:
               f"stump_mismatches={r['stump_mismatches']} coeff_gap={r['coeff_gap']:.3e} "
               f"symmetry_gap={r['symmetry_gap']:.3e}")
         failures += 0 if ok else 1
+    # the settings every trial shares, which its line does not show
+    shared = (f"n={args.n} d={args.d} rounds={args.rounds} ntau={args.ntau} "
+              f"epsilon_scale={args.debug_epsilon_scale!r}")
     if failures:
         print(f"oracle check FAILED on {failures}/{len(results)} trials "
-              f"(tolerance {ORACLE_TOL:g})", file=sys.stderr)
+              f"(tolerance {ORACLE_TOL:g}; {shared})", file=sys.stderr)
         return 1
-    print(f"oracle check passed on {len(results)} trials")
+    print(f"oracle check passed on {len(results)} trials ({shared})")
     return 0
 
 

@@ -25,30 +25,38 @@ class ModelParseError(ValueError):
         super().__init__(f"{message} (byte offset {byte_offset})")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix with 1-based integer labels; label_names records the raw-token mapping."""
+    """Feature matrix with 1-based integer labels; label_names records the raw-token mapping.
+
+    Built from any (N, d) features and N labels, checked: the features are
+    kept as float64 (a float64 array as given, not copied), the labels as
+    int64, and `k` defaults to the largest label.  `label_names`, if given,
+    holds one name per class.  `==` is identity.
+    """
 
     features: np.ndarray
     labels: np.ndarray
-    k: int
+    k: int | None = None
     label_names: list[str] | None = None
 
-    @classmethod
-    def from_arrays(cls, features, labels, k: int | None = None) -> "Dataset":
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+    def __post_init__(self):
+        features = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2 or features.size == 0:
             raise ValueError("features must be a non-empty (N, d) array")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be 1-D and aligned with features")
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain non-finite values")
-        if k is None:
-            k = int(labels.max())
+        k = int(labels.max()) if self.k is None else self.k
         if labels.min() < 1 or labels.max() > k:
             raise ValueError(f"labels must lie in 1..{k}")
-        return cls(features=features, labels=labels, k=k)
+        if self.label_names is not None and len(self.label_names) != k:
+            raise ValueError(f"label_names must hold {k} names, got {len(self.label_names)}")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", k)
 
 
 # The bytes of a file NumPy's C reader is given.  On them it strips a cell of
@@ -197,9 +205,7 @@ def load_dataset(path, labels: str, label_names: list[str] | None = None) -> Dat
         unseen = int(np.argmin(mapped))  # the first 0
         raise ValueError(f"{token_source}: line {token_lines[unseen][0]}: label "
                          f"{tokens[unseen]!r} is not one of the training labels {names}")
-    data = Dataset.from_arrays(features, mapped, k=len(names))
-    data.label_names = names
-    return data
+    return Dataset(features, mapped, k=len(names), label_names=names)
 
 
 def load_features(path) -> np.ndarray:

@@ -20,18 +20,42 @@ MEAN_RANGE = (-5.0, 5.0)
 COV_SCALE_RANGE = (0.5, 1.5)
 
 
-@dataclass
+def check_seed(seed: int) -> int:
+    """`seed`, if it can seed a draw: seeds are >= 0.  Checked before any draw."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _check_dimensions(d: int, pairs=()) -> None:
+    """A mixture has d >= 1 features, and each (mean, covariance) in `pairs`
+    has shapes (d,) and (d, d)."""
+    if d < 1 or any(mu.shape != (d,) or cov.shape != (d, d) for mu, cov in pairs):
+        raise ValueError("inconsistent mixture dimensions")
+
+
+@dataclass(frozen=True, eq=False)
 class MixtureSpec:
-    """Per-class Gaussian clusters plus train/test sample counts and a seed."""
+    """Per-class Gaussian clusters plus train/test sample counts and a seed.
+
+    Checked when built, and held in tuples, so a spec cannot change after
+    its checks; it holds the mean and covariance arrays it was given,
+    uncopied, so do not write into them.  A changed spec comes from
+    `dataclasses.replace`.  `==` is identity.
+    """
 
     k: int
-    means: list[list[np.ndarray]]        # [class][cluster] -> (d,)
-    covariances: list[list[np.ndarray]]  # [class][cluster] -> (d, d) SPD
-    train_counts: list[int]
-    test_counts: list[int]
+    means: tuple[tuple[np.ndarray, ...], ...]        # [class][cluster] -> (d,)
+    covariances: tuple[tuple[np.ndarray, ...], ...]  # [class][cluster] -> (d, d) SPD
+    train_counts: tuple[int, ...]
+    test_counts: tuple[int, ...]
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "means", tuple(tuple(cls) for cls in self.means))
+        object.__setattr__(self, "covariances", tuple(tuple(cls) for cls in self.covariances))
+        object.__setattr__(self, "train_counts", tuple(self.train_counts))
+        object.__setattr__(self, "test_counts", tuple(self.test_counts))
         if self.k < 2 or len(self.means) != self.k or len(self.covariances) != self.k:
             raise ValueError("spec needs per-class means/covariances for k >= 2 classes")
         if len(self.train_counts) != self.k or len(self.test_counts) != self.k:
@@ -40,15 +64,14 @@ class MixtureSpec:
             raise ValueError("train counts must be >= 1, test counts >= 0 with a positive total")
         if any(len(m) != len(c) or not m for m, c in zip(self.means, self.covariances)):
             raise ValueError("each class needs matching non-empty mean/cov lists")
-        d = self.means[0][0].shape[0]
-        for cls_means, cls_covs in zip(self.means, self.covariances):
-            for mu, cov in zip(cls_means, cls_covs):
-                if d < 1 or mu.shape != (d,) or cov.shape != (d, d):
-                    raise ValueError("inconsistent mixture dimensions")
-                if not np.allclose(cov, cov.T, atol=1e-10):
-                    raise ValueError("covariance not symmetric")
-                if np.linalg.eigvalsh(cov).min() <= 0:
-                    raise ValueError("covariance not positive definite")
+        pairs = [pair for cls in zip(self.means, self.covariances) for pair in zip(*cls)]
+        _check_dimensions(self.means[0][0].shape[0], pairs)
+        for _, cov in pairs:
+            if not np.allclose(cov, cov.T, atol=1e-10):
+                raise ValueError("covariance not symmetric")
+            if np.linalg.eigvalsh(cov).min() <= 0:
+                raise ValueError("covariance not positive definite")
+        check_seed(self.seed)
 
 
 def _split_total(total: int, k: int) -> list[int]:
@@ -60,7 +83,8 @@ def random_mixture_spec(k: int = 4, clusters_per_class: int = 2, d: int = 2,
                         train_total: int = 1000, test_total: int = 500,
                         seed: int = 0) -> MixtureSpec:
     """Draw cluster means uniformly in a box and covariances as rotated diagonals."""
-    rng = np.random.default_rng(seed)
+    _check_dimensions(d)
+    rng = np.random.default_rng(check_seed(seed))
     means, covs = [], []
     for _ in range(k):
         cls_means, cls_covs = [], []
@@ -71,16 +95,13 @@ def random_mixture_spec(k: int = 4, clusters_per_class: int = 2, d: int = 2,
             cls_covs.append(q @ np.diag(scales) @ q.T)
         means.append(cls_means)
         covs.append(cls_covs)
-    spec = MixtureSpec(k=k, means=means, covariances=covs,
+    return MixtureSpec(k=k, means=means, covariances=covs,
                        train_counts=_split_total(train_total, k),
                        test_counts=_split_total(test_total, k), seed=seed)
-    spec.validate()
-    return spec
 
 
 def gen_dataset(spec: MixtureSpec) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) draw from the mixture."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     def draw(counts):
@@ -100,7 +121,7 @@ def gen_dataset(spec: MixtureSpec) -> tuple[Dataset, Dataset]:
         x = np.concatenate(xs)
         y = np.concatenate(ys)
         order = rng.permutation(x.shape[0])
-        return Dataset.from_arrays(x[order], y[order], k=spec.k)
+        return Dataset(x[order], y[order], k=spec.k)
 
     return draw(spec.train_counts), draw(spec.test_counts)
 
@@ -111,7 +132,7 @@ def gen_cost_matrix(k: int, seed: int, labels: np.ndarray | None = None) -> Cost
     When `labels` is given the matrix is rescaled so a uniform random guess
     costs 1 on average over those labels; raw draws come back otherwise.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     entries = np.abs(rng.normal(size=(k, k)))
     np.fill_diagonal(entries, 0.0)
     off = ~np.eye(k, dtype=bool)
@@ -126,10 +147,9 @@ def gen_cost_matrix(k: int, seed: int, labels: np.ndarray | None = None) -> Cost
 
 def _comparison_dataset_block(job) -> list[dict]:
     """All trials for one dataset: shared cost-blind model, one trained model per matrix."""
-    index, dataset_seed, cost_seeds, rounds, depth, fit_a0, n_matrices = job
+    index, dataset_seed, cost_seeds, cfg, n_matrices = job
     spec = random_mixture_spec(seed=int(dataset_seed))
     train_data, test_data = gen_dataset(spec)
-    cfg = TrainConfig(rounds=rounds, tree_depth=depth, fit_a0=fit_a0)
     matrices = [gen_cost_matrix(spec.k, int(cost_seeds[j]), labels=train_data.labels)
                 for j in range(n_matrices)]
     # the cost-blind model and every matrix's model, trained in lockstep
@@ -168,11 +188,11 @@ def run_comparison(n_datasets: int = 10, n_matrices: int = 20, rounds: int = 100
     """
     if n_datasets < 1 or n_matrices < 1:
         raise ValueError("need at least one dataset and one cost matrix")
-    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(rounds=rounds, tree_depth=depth, fit_a0=fit_a0)
+    rng = np.random.default_rng(check_seed(seed))
     dataset_seeds = rng.integers(1, 2 ** 31, size=n_datasets)
     cost_seeds = rng.integers(1, 2 ** 31, size=n_matrices)
-    jobs = [(i, dataset_seeds[i], cost_seeds, rounds, depth, fit_a0, n_matrices)
-            for i in range(n_datasets)]
+    jobs = [(i, dataset_seeds[i], cost_seeds, cfg, n_matrices) for i in range(n_datasets)]
 
     blocks = pool_map(_comparison_dataset_block, jobs, workers)
     return [row for block in blocks for row in block]

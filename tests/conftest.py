@@ -26,7 +26,7 @@ def random_problem(seed: int, n: int = 120, d: int = 3, k: int = 3):
     labels = rng.integers(1, k + 1, size=n)
     centers = rng.uniform(-3.0, 3.0, size=(k, d))
     features = centers[labels - 1] + rng.normal(size=(n, d))
-    return Dataset.from_arrays(features, labels, k), random_costs(k, rng)
+    return Dataset(features, labels, k), random_costs(k, rng)
 
 
 def random_model(seed: int, k: int = 3, d: int = 4, depth: int = 1,
@@ -52,7 +52,7 @@ def xor_dataset(n_per_cell: int = 25, seed: int = 0) -> Dataset:
     for cx, cy, lab in cells:
         feats.append(np.array([cx, cy]) * 2.0 + rng.uniform(-0.8, 0.8, size=(n_per_cell, 2)))
         labs.append(np.full(n_per_cell, lab))
-    return Dataset.from_arrays(np.vstack(feats), np.concatenate(labs), k=2)
+    return Dataset(np.vstack(feats), np.concatenate(labs), k=2)
 
 
 @pytest.fixture

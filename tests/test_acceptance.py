@@ -101,7 +101,7 @@ def test_criterion_3_certificate(multiclass_traces, capsys):
         rng = np.random.default_rng(seed)
         y = rng.integers(1, k + 1, size=n)
         x = y[:, None] * 10.0 + rng.normal(scale=0.5, size=(n, 2))
-        return Dataset.from_arrays(x, y, k), random_costs(k, rng)
+        return Dataset(x, y, k), random_costs(k, rng)
 
     traces = list(multiclass_traces)
     for seed in (5, 6, 7):

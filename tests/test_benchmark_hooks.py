@@ -31,7 +31,7 @@ def _tracer_class():
 def test_tracer_hooks_every_target_and_reads_every_count():
     rng = np.random.default_rng(3)
     labels = np.arange(40) % 3 + 1
-    data = Dataset.from_arrays(rng.normal(size=(40, 2)) + labels[:, None], labels, 3)
+    data = Dataset(rng.normal(size=(40, 2)) + labels[:, None], labels, 3)
     tracer = _tracer_class()()
     tracer.install()
     try:

@@ -30,7 +30,7 @@ def separable_problem(seed=0, n=60, k=3):
         centers[labels - 1, 0] + rng.uniform(-1, 1, n),
         rng.normal(size=n),
     ])
-    return Dataset.from_arrays(features, labels, k), CostMatrix.uniform(k)
+    return Dataset(features, labels, k), CostMatrix.uniform(k)
 
 
 class TestWeights:
@@ -67,7 +67,7 @@ class TestWeights:
     def test_fit_constant_infinite_offset_raises_for_round_0(self):
         """epsilon 0 and a class no sample carries: its offset is infinite,
         and the weights it leaves are not finite."""
-        data = Dataset.from_arrays(np.arange(8.0)[:, None], np.array([1, 2] * 4), 3)
+        data = Dataset(np.arange(8.0)[:, None], np.array([1, 2] * 4), 3)
         with pytest.raises(NumericOverflowError) as info:
             fit_constant(init_weights(CostMatrix.uniform(3), data), epsilon=0.0)
         assert info.value.round_index == 0
@@ -77,7 +77,7 @@ class TestWeights:
     def test_fit_constant_favors_cheap_majority(self, rng):
         """Mostly class 1 and 0-1 costs: the offset ranks class 1 first."""
         labels = np.array([1] * 18 + [2] * 2)
-        data = Dataset.from_arrays(rng.normal(size=(20, 2)), labels, 2)
+        data = Dataset(rng.normal(size=(20, 2)), labels, 2)
         w = init_weights(CostMatrix.uniform(2), data)
         a0 = fit_constant(w, epsilon=1e-3)
         assert a0[0] > a0[1]
@@ -85,17 +85,17 @@ class TestWeights:
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(rounds=0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(rounds=5, tree_depth=0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(rounds=5, n_tau=0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(rounds=5, epsilon=-1.0).validate()
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            TrainConfig(rounds=0)
+        with pytest.raises(ValueError, match="tree_depth must be >= 1"):
+            TrainConfig(rounds=5, tree_depth=0)
+        with pytest.raises(ValueError, match="n_tau must be >= 1"):
+            TrainConfig(rounds=5, n_tau=0)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            TrainConfig(rounds=5, epsilon=-1.0)
         for epsilon in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-                TrainConfig(rounds=5, epsilon=epsilon).validate()
+                TrainConfig(rounds=5, epsilon=epsilon)
 
 
 class TestTrainValidation:
@@ -105,12 +105,12 @@ class TestTrainValidation:
             train(data, CostMatrix.uniform(4), TrainConfig(rounds=1))
 
     def test_rejects_all_constant_features(self):
-        data = Dataset.from_arrays(np.ones((10, 2)), np.array([1, 2] * 5), 2)
+        data = Dataset(np.ones((10, 2)), np.array([1, 2] * 5), 2)
         with pytest.raises(ValueError):
             train(data, CostMatrix.uniform(2), TrainConfig(rounds=1))
 
     def test_rejects_single_sample(self):
-        data = Dataset.from_arrays(np.zeros((1, 2)), np.array([1]), 2)
+        data = Dataset(np.zeros((1, 2)), np.array([1]), 2)
         with pytest.raises(ValueError):
             train(data, CostMatrix.uniform(2), TrainConfig(rounds=1))
 
@@ -243,8 +243,8 @@ class TestTrainingInvariants:
         floor (2.0-2.1x at 400 rounds), so a certificate set even 3x its gap
         above the floor would be passed and fail this test."""
         data, costs = separable_problem(n=60, k=k)
-        data = Dataset.from_arrays(np.vstack([data.features, data.features[:1]]),
-                                   np.append(data.labels, data.labels[0] % k + 1), k)
+        data = Dataset(np.vstack([data.features, data.features[:1]]),
+                       np.append(data.labels, data.labels[0] % k + 1), k)
         _, trace = train(data, costs, TrainConfig(rounds=400, early_stop_on_certificate=False))
         assert len(trace.rounds) == 400
         assert min(r.train_risk for r in trace.rounds) >= 1.0 / 61
@@ -420,7 +420,7 @@ def _lockstep_case(draw):
                       n_tau=draw(st.sampled_from([1, 3, 20])),
                       epsilon=draw(st.sampled_from([None, 0.0, 1e-300])),
                       early_stop_on_certificate=draw(st.booleans()))
-    return Dataset.from_arrays(features, labels, k), matrices, cfg, draw(st.integers(1, 60))
+    return Dataset(features, labels, k), matrices, cfg, draw(st.integers(1, 60))
 
 
 def _outcome(run):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rebel.cli as cli
+import rebel.synth
 from rebel.boost import NumericOverflowError
 from rebel.io import load_dataset, load_model
 from rebel.synth import gen_dataset, random_mixture_spec
@@ -446,6 +447,31 @@ def test_synth_refuses_an_empty_mixture(tmp_path, capsys, flag, value, message):
     """Each of these once escaped as a traceback with exit 1, the code of a failed check."""
     out = ["--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv"]
     assert run(["synth", flag, value] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--seed", -1], "seed must be >= 0, got -1"),
+    (["synth", "--d", -1], "inconsistent mixture dimensions"),
+    (["synth", "--cost-seed", -1, "--out-costs", "c.csv"], "seed must be >= 0, got -1"),
+    (["compare", "--seed", -1, "--datasets", 1, "--matrices", 1, "--rounds", 2, "--out", "c.csv"],
+     "seed must be >= 0, got -1"),
+    (["oracle-check", "--seed", -1, "--trials", 1, "--rounds", 2, "--n", 20],
+     "seed must be >= 0, got -1"),
+])
+def test_negative_seeds_and_sizes_exit_2_naming_the_rule(tmp_path, monkeypatch, capsys, argv,
+                                                         message):
+    """Each of these once exited 2 with NumPy's message ("expected non-negative integer",
+    "negative dimensions are not allowed"); `--cost-seed -1` did so only after writing and
+    reporting the train and test files."""
+    monkeypatch.chdir(tmp_path)
+    for module in (cli, rebel.synth):
+        monkeypatch.setattr(module, "pool_map", lambda *a, **kw: pytest.fail("a trial ran"))
+    out = ["--out-train", "a.csv", "--out-test", "b.csv"] if argv[0] == "synth" else []
+    assert run(argv + out) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""

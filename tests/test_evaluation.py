@@ -18,8 +18,8 @@ def test_evaluate_confusion_and_risk():
         (Tree.from_stump(Stump(0, 0.0, 1)), np.array([-1.0, 1.0])),
     ])
     # x > 0 predicts class 2, else class 1
-    data = Dataset.from_arrays(np.array([[-1.0], [1.0], [2.0], [-2.0]]),
-                               np.array([1, 2, 1, 2]), 2)
+    data = Dataset(np.array([[-1.0], [1.0], [2.0], [-2.0]]),
+                   np.array([1, 2, 1, 2]), 2)
     costs = CostMatrix(np.array([[0.0, 4.0], [1.0, 0.0]]))
     confusion, error, risk = evaluate(model, data, costs)
     np.testing.assert_array_equal(confusion, [[1, 1], [1, 1]])
@@ -29,7 +29,7 @@ def test_evaluate_confusion_and_risk():
 
 def test_evaluate_rejects_mismatched_classes():
     model = StrongClassifier(k=3, d=1, a0=np.zeros(3), rounds=[])
-    data = Dataset.from_arrays(np.zeros((2, 1)), np.array([1, 2]), 2)
+    data = Dataset(np.zeros((2, 1)), np.array([1, 2]), 2)
     with pytest.raises(ValueError):
         evaluate(model, data, CostMatrix.uniform(2))
     with pytest.raises(ValueError, match="dataset has 2 classes, cost matrix 3"):
@@ -41,7 +41,7 @@ def test_evaluate_refuses_the_model_before_scoring():
     count, before its scores are computed: its features are too narrow to
     score, and that error is not the one raised."""
     model = StrongClassifier(k=3, d=2, a0=np.zeros(3), rounds=[])
-    data = Dataset.from_arrays(np.zeros((4, 1)), np.array([1, 2, 3, 4]))
+    data = Dataset(np.zeros((4, 1)), np.array([1, 2, 3, 4]))
     with pytest.raises(ValueError, match="model scores 3 classes, cost matrix 4"):
         evaluate(model, data, CostMatrix.uniform(4))
 
@@ -77,7 +77,7 @@ def test_error_and_risk_match_per_sample_path():
 class TestSelectRounds:
     def test_zero_round_model(self):
         model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
-        data = Dataset.from_arrays(np.zeros((2, 1)), np.array([1, 2]), 2)
+        data = Dataset(np.zeros((2, 1)), np.array([1, 2]), 2)
         assert select_rounds(model, data, CostMatrix.uniform(2)) == 0
 
     def test_picks_best_prefix(self):
@@ -100,7 +100,7 @@ class TestSelectRounds:
 
     def test_rejects_mismatched_classes(self):
         model = StrongClassifier(k=2, d=1, a0=np.zeros(2), rounds=[])
-        data = Dataset.from_arrays(np.zeros((2, 1)), np.array([1, 2]), 2)
+        data = Dataset(np.zeros((2, 1)), np.array([1, 2]), 2)
         with pytest.raises(ValueError, match="dataset has 2 classes, cost matrix 3"):
             select_rounds(model, data, CostMatrix.uniform(3))
 
@@ -108,7 +108,7 @@ class TestSelectRounds:
         """Refused before the stages are walked, as `evaluate` refuses it."""
         model = StrongClassifier(k=2, d=1, a0=np.zeros(2),
                                  rounds=[(Tree.from_stump(Stump(0, 0.0, 1)), np.array([1.0, -1.0]))])
-        data = Dataset.from_arrays(np.array([[0.0], [1.0], [2.0]]), np.array([1, 2, 3]), 3)
+        data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([1, 2, 3]), 3)
         with pytest.raises(ValueError, match="model scores 2 classes, cost matrix 3"):
             select_rounds(model, data, CostMatrix.uniform(3))
 
@@ -117,7 +117,7 @@ class TestSelectRounds:
         stump_round = (Tree.from_stump(Stump(0, 0.0, 1)), np.array([0.0, 0.0]))
         model = StrongClassifier(k=2, d=1, a0=np.array([1.0, 0.0]),
                                  rounds=[stump_round] * 4)
-        data = Dataset.from_arrays(np.array([[-1.0], [1.0]]), np.array([1, 1]), 2)
+        data = Dataset(np.array([[-1.0], [1.0]]), np.array([1, 1]), 2)
         assert select_rounds(model, data, CostMatrix.uniform(2)) == 1
 
 

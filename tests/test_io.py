@@ -114,8 +114,8 @@ class TestLoadDataset:
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
-        data = Dataset.from_arrays(rng.normal(size=(25, 3)),
-                                   rng.integers(1, 4, size=25), 3)
+        data = Dataset(rng.normal(size=(25, 3)),
+                       rng.integers(1, 4, size=25), 3)
         path = tmp_path / "d.csv"
         save_dataset(data, path)
         back = load_dataset(path, "col:-1")
@@ -136,14 +136,32 @@ class TestLoadDataset:
 ])
 def test_from_arrays_refuses_bad_arrays(features, labels, k, match):
     with pytest.raises(ValueError, match=match):
-        Dataset.from_arrays(np.asarray(features), np.asarray(labels, dtype=np.int64), k)
+        Dataset(np.asarray(features), np.asarray(labels, dtype=np.int64), k)
 
 
 def test_from_arrays_takes_k_from_the_largest_label():
-    data = Dataset.from_arrays([[1.0], [2.0], [3.0]], [3, 1, 3])
+    data = Dataset([[1.0], [2.0], [3.0]], [3, 1, 3])
     assert data.k == 3
     np.testing.assert_array_equal(data.labels, [3, 1, 3])
-    assert Dataset.from_arrays([[1.0]], [1], k=4).k == 4
+    assert Dataset([[1.0]], [1], k=4).k == 4
+
+
+def test_dataset_refuses_label_names_of_another_count():
+    with pytest.raises(ValueError, match="label_names must hold 3 names, got 2"):
+        Dataset([[1.0], [2.0]], [1, 3], label_names=["a", "b"])
+    assert Dataset([[1.0], [2.0]], [1, 2], label_names=["a", "b"]).label_names == ["a", "b"]
+
+
+def test_dataset_is_a_value_holding_float64_features_uncopied():
+    """A float64 feature array is kept as given, so building a dataset adds
+    no copy of a large matrix; other inputs are converted."""
+    features = np.arange(6.0).reshape(3, 2)
+    data = Dataset(features, [1, 2, 1])
+    assert data.features is features
+    assert data.labels.dtype == np.int64
+    assert Dataset([[1, 2]], [1]).features.dtype == np.float64
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.k = 3
 
 
 def test_load_features_rejects_tokens(tmp_path):

@@ -145,6 +145,6 @@ def test_empirical_risk_validation():
 
 
 def test_surrogate_rejects_mismatched_widths():
-    data = Dataset.from_arrays(np.zeros((3, 2)), np.array([1, 2, 1]), k=2)
+    data = Dataset(np.zeros((3, 2)), np.array([1, 2, 1]), k=2)
     with pytest.raises(ValueError):
         surrogate_loss(zero_model(3, 2), data, CostMatrix.uniform(3))

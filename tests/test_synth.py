@@ -1,9 +1,16 @@
 """Synthetic mixture generation and the cost-comparison harness."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rebel.synth import (gen_cost_matrix, gen_dataset, random_mixture_spec, run_comparison,
                          win_fraction, write_comparison_csv)
+
+
+def _put(nested, i, j, value):
+    """A tuple of tuples, `nested`, with item [i][j] set to `value`."""
+    return nested[:i] + (nested[i][:j] + (value,) + nested[i][j + 1:],) + nested[i + 1:]
 
 
 class TestMixtureSpec:
@@ -16,7 +23,15 @@ class TestMixtureSpec:
         assert spec.covariances[0][0].shape == (2, 2)
         assert sum(spec.train_counts) == 90
         assert sum(spec.test_counts) == 30
-        spec.validate()
+
+    def test_spec_cannot_change_after_its_checks(self):
+        spec = random_mixture_spec(k=2, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.k = 1
+        with pytest.raises(AttributeError):
+            spec.train_counts.append(5)
+        with pytest.raises(TypeError):
+            spec.covariances[0][0] = np.eye(2)
 
     def test_covariances_have_bounded_spectrum(self):
         spec = random_mixture_spec(k=4, seed=3)
@@ -28,35 +43,41 @@ class TestMixtureSpec:
 
     def test_validate_rejects_bad_covariance(self):
         spec = random_mixture_spec(k=2, seed=1)
-        spec.covariances[0][0] = np.array([[1.0, 2.0], [2.0, 1.0]])  # not PSD
+        not_psd = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="covariance not positive definite"):
-            spec.validate()
+            dataclasses.replace(spec, covariances=_put(spec.covariances, 0, 0, not_psd))
 
     def test_validate_rejects_bad_counts(self):
         spec = random_mixture_spec(k=2, seed=1)
-        spec.train_counts[0] = 0
         with pytest.raises(ValueError, match="train counts must be >= 1"):
-            spec.validate()
+            dataclasses.replace(spec, train_counts=(0,) + spec.train_counts[1:])
 
     @pytest.mark.parametrize("breakage, message", [
-        (lambda s: setattr(s, "k", 1), "for k >= 2 classes"),
-        (lambda s: s.means.pop(), "for k >= 2 classes"),
-        (lambda s: s.test_counts.append(5), "per-class train and test counts"),
-        (lambda s: s.means[1].pop(), "matching non-empty mean/cov lists"),
-        (lambda s: (s.means[1].clear(), s.covariances[1].clear()),
+        (lambda s: dataclasses.replace(s, k=1), "for k >= 2 classes"),
+        (lambda s: dataclasses.replace(s, means=s.means[:-1]), "for k >= 2 classes"),
+        (lambda s: dataclasses.replace(s, test_counts=s.test_counts + (5,)),
+         "per-class train and test counts"),
+        (lambda s: dataclasses.replace(s, means=(s.means[0], s.means[1][:-1])),
          "matching non-empty mean/cov lists"),
-        (lambda s: s.means[1].__setitem__(0, np.zeros(3)), "inconsistent mixture dimensions"),
-        (lambda s: s.covariances[1].__setitem__(0, np.eye(3)), "inconsistent mixture dimensions"),
-        (lambda s: s.covariances[1].__setitem__(0, np.array([[1.0, 0.5], [0.0, 1.0]])),
+        (lambda s: dataclasses.replace(s, means=(s.means[0], ()),
+                                       covariances=(s.covariances[0], ())),
+         "matching non-empty mean/cov lists"),
+        (lambda s: dataclasses.replace(s, means=_put(s.means, 1, 0, np.zeros(3))),
+         "inconsistent mixture dimensions"),
+        (lambda s: dataclasses.replace(s, covariances=_put(s.covariances, 1, 0, np.eye(3))),
+         "inconsistent mixture dimensions"),
+        (lambda s: dataclasses.replace(s, covariances=_put(s.covariances, 1, 0,
+                                                           np.array([[1.0, 0.5], [0.0, 1.0]]))),
          "covariance not symmetric"),
-        (lambda s: (s.means[0].clear(), s.covariances[0].clear()),
+        (lambda s: dataclasses.replace(s, means=((), s.means[1]),
+                                       covariances=((), s.covariances[1])),
          "matching non-empty mean/cov lists"),
+        (lambda s: dataclasses.replace(s, seed=-1), "seed must be >= 0, got -1"),
     ])
     def test_validate_names_each_broken_rule(self, breakage, message):
         spec = random_mixture_spec(k=2, seed=1)
-        breakage(spec)
         with pytest.raises(ValueError, match=message):
-            spec.validate()
+            breakage(spec)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"k": 0}, "for k >= 2 classes"),
@@ -64,10 +85,13 @@ class TestMixtureSpec:
         ({"clusters_per_class": -1}, "matching non-empty mean/cov lists"),
         ({"d": 0}, "inconsistent mixture dimensions"),
         ({"test_total": 0}, "test counts >= 0 with a positive total"),
+        ({"d": -1}, "inconsistent mixture dimensions"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_random_spec_refuses_with_the_rule_it_breaks(self, kwargs, message):
-        """Each of these once failed in the draw or in `validate` itself (ZeroDivisionError,
-        IndexError, or NumPy's reductions over empty arrays) instead of naming its rule."""
+        """Each of these once failed in the draw or in the spec's checks themselves
+        (ZeroDivisionError, IndexError, NumPy's reductions over empty arrays, or NumPy's
+        messages on a negative size or seed) instead of naming its rule."""
         with pytest.raises(ValueError, match=message):
             random_mixture_spec(**kwargs)
 

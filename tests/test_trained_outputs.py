@@ -62,7 +62,7 @@ def deep_risk_run():
     features = np.column_stack([x[:, 0], np.full(n, 0.25), x[:, 1:]])
     entries = rng.uniform(0.2, 3.0, size=(k, k))
     np.fill_diagonal(entries, 0.0)
-    data = Dataset.from_arrays(features, labels, k)
+    data = Dataset(features, labels, k)
     model, trace = train(data, CostMatrix(entries),
                          TrainConfig(rounds=70, tree_depth=3, n_tau=50))
     return [("deep_risk", model, trace)]

@@ -189,7 +189,7 @@ def _weighted_problems(draw):
     elif side == "upper":
         mantissa[:, features[:, 0] <= np.median(features[:, 0])] = 0.0
     weights = class_major(mantissa[:k].T, mantissa[k:].T)
-    return Dataset.from_arrays(features, np.arange(n) % k + 1, k), weights, n_tau
+    return Dataset(features, np.arange(n) % k + 1, k), weights, n_tau
 
 
 def _sample_major(weights):
@@ -257,7 +257,7 @@ class TestSearchBitEquality:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_weighted_problems())
-    @example(case=(Dataset.from_arrays(np.array([[0.0], [1.0]]), np.array([1, 2]), 2),
+    @example(case=(Dataset(np.array([[0.0], [1.0]]), np.array([1, 2]), 2),
                    class_major(np.array([[1e300, 0.0], [1e-300, 2.0]]),
                                np.array([[0.0, 0.0], [3.0, 1e300]])), 1))
     def test_stump_search_matches_naive(self, case):
@@ -292,7 +292,7 @@ class TestSearchBitEquality:
     @given(case=_layer_cases())
     # slot 0's inherited cut scores nan (an infinite u below it) while feature
     # 1 offers a finite cut, which the leaf takes: nan is not >= the best
-    @example(case=(Dataset.from_arrays(_NAN_CUT_X, np.array([1, 2, 1]), 2),
+    @example(case=(Dataset(_NAN_CUT_X, np.array([1, 2, 1]), 2),
                    class_major(np.array([[1e300, 0.0], [1.0, 1.0], [1.0, 1.0]]), np.ones((3, 2))),
                    build_grid(_NAN_CUT_X, 1), Tree.from_stump(Stump(0, 1.0, 1)),
                    np.array([40.0, 0.0])))
@@ -413,7 +413,7 @@ class TestStumpSearch:
         x = np.concatenate([rng.uniform(0, 1, 30), rng.uniform(5, 6, 30)])
         features = np.column_stack([rng.normal(size=60), x])
         labels = np.repeat([1, 2], 30)
-        data = Dataset.from_arrays(features, labels, 2)
+        data = Dataset(features, labels, 2)
         w = init_weights(random_costs(2, rng), data)
         stump, vector, crit, *_ = stump_search(data, w, build_grid(features, 50), epsilon=1e-3)
         assert stump.feature == 1
@@ -454,7 +454,7 @@ class TestStumpSearch:
 
     def test_nan_weight_is_an_error_naming_its_training(self):
         """3 rows, 2 classes: a nan weight makes every criterion of its training nan."""
-        data = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, 2, 1], 2)
+        data = Dataset([[0.0], [1.0], [2.0]], [1, 2, 1], 2)
         grid = build_grid(data.features, 10)
         w = init_weights(CostMatrix.uniform(2), data)
         stack = np.stack([w, w])
@@ -576,7 +576,7 @@ class TestGrowLayer:
         rng = np.random.default_rng(1)
         x = np.concatenate([rng.uniform(0, 1, 20), rng.uniform(5, 6, 20)])
         features = x[:, None]
-        data = Dataset.from_arrays(features, np.repeat([1, 2], 20), 2)
+        data = Dataset(features, np.repeat([1, 2], 20), 2)
         w = init_weights(random_costs(2, rng), data)
         grid = build_grid(features, 30)
         stump, vector, *_ = stump_search(data, w, grid, epsilon=1e-4)
