@@ -104,6 +104,10 @@ class StrongClassifier:
 
     `==` is identity: compare two models by their text (`io.model_to_text`).
 
+    Checked when built: `a0` and every round's vector hold K values, and every
+    node reads a feature below d (a `Stump` checks the rest of its rules).
+    The values are not checked: a vector may hold nan.
+
     A model is immutable, and a changed model comes from `dataclasses.replace`;
     it holds `a0` and the round vectors it was given, uncopied, so do not
     write into them.
@@ -121,10 +125,13 @@ class StrongClassifier:
         if np.shape(self.a0) != (self.k,):
             raise ValueError(f"a0 has shape {np.shape(self.a0)}, expected ({self.k},)")
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        for t, (_, vector) in enumerate(self.rounds):
+        for t, (tree, vector) in enumerate(self.rounds):
             if np.shape(vector) != (self.k,):
                 raise ValueError(f"rounds[{t}] has a vector of shape {np.shape(vector)}, "
                                  f"expected ({self.k},)")
+            top = max(node.feature for node in tree.nodes)
+            if top >= self.d:
+                raise ValueError(f"rounds[{t}] has a node on feature {top}, expected < {self.d}")
 
     @cached_property
     def _pack(self) -> _Pack:
@@ -476,8 +483,7 @@ class _Lane:
     def __init__(self, index: int, data: "Dataset", costs: CostMatrix, cfg: TrainConfig,
                  epsilon: float, flat: bool, weights: np.ndarray, h: np.ndarray,
                  cost_rows: np.ndarray):
-        if data.k != costs.k:
-            raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
+        costs.check_classes(data.k)
         if flat:
             raise ValueError("every feature is constant; nothing to split on")
         floor, certificate = loss_floor(costs, data.labels)

@@ -19,17 +19,15 @@ from .io import (load_cost_matrix, load_dataset, load_features, load_model, save
                  save_dataset, save_model, write_trace)
 from .synth import (check_seed, gen_cost_matrix, gen_dataset, pool_map, random_mixture_spec,
                     run_comparison, win_fraction, write_comparison_csv)
+from .weak import check_features_shape
 
 ORACLE_TOL = 1e-9
 
 
 def _load_costs(path: str | None, k: int) -> CostMatrix:
-    if path is None:
-        return CostMatrix.uniform(k)
-    costs = load_cost_matrix(path)
-    if costs.k != k:
-        raise ValueError(f"cost matrix has {costs.k} classes, dataset has {k}")
-    return costs
+    """The cost matrix at `path`, or 0-1 costs for k classes; `train` and `evaluate` check
+    its class count."""
+    return CostMatrix.uniform(k) if path is None else load_cost_matrix(path)
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -74,6 +72,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.labels and args.labels.startswith("file:"):
+        raise ValueError("predict's --labels names a label column to drop (col:IDX), "
+                         f"not a label file: {args.labels!r}")
     model = load_model(args.model)
     if args.labels:
         features = load_dataset(args.data, args.labels).features
@@ -135,6 +136,7 @@ def cmd_oracle_check(args) -> int:
         raise ValueError("--trials must be >= 1")
     if not 0 <= args.debug_epsilon_scale < np.inf:
         raise ValueError("--debug-epsilon-scale must be finite and >= 0")
+    check_features_shape((args.n, args.d))  # each trial's (n, d) features
     seeds = np.random.default_rng(check_seed(args.seed)).integers(1, 2 ** 31, size=args.trials)
     trial = functools.partial(run_reduction_trial, n=args.n, d=args.d, rounds=args.rounds,
                               n_tau=args.ntau, epsilon_scale=args.debug_epsilon_scale)

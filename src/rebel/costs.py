@@ -74,6 +74,11 @@ class CostMatrix:
     def k(self) -> int:
         return self.entries.shape[0]
 
+    def check_classes(self, k: int) -> None:
+        """Refuse a dataset of k classes unless the matrix has k."""
+        if k != self.k:
+            raise ValueError(f"dataset has {k} classes, cost matrix {self.k}")
+
     @classmethod
     def uniform(cls, k: int) -> "CostMatrix":
         """0-1 costs: every mistake costs 1."""

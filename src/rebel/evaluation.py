@@ -16,8 +16,7 @@ if TYPE_CHECKING:
 
 
 def _check_classes(model: StrongClassifier, data: "Dataset", costs: CostMatrix) -> None:
-    if data.k != costs.k:
-        raise ValueError(f"dataset has {data.k} classes, cost matrix {costs.k}")
+    costs.check_classes(data.k)
     if model.k != costs.k:
         raise ValueError(f"model scores {model.k} classes, cost matrix {costs.k}")
 

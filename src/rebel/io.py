@@ -13,7 +13,7 @@ import numpy as np
 
 from .boost import StrongClassifier
 from .costs import CostMatrix
-from .weak import Stump, Tree
+from .weak import Stump, Tree, check_features_shape
 
 MODEL_MAGIC = "rebel-model"
 MODEL_VERSION = 1
@@ -43,8 +43,7 @@ class Dataset:
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if features.ndim != 2 or features.size == 0:
-            raise ValueError("features must be a non-empty (N, d) array")
+        check_features_shape(features.shape)
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must be 1-D and aligned with features")
         if not np.all(np.isfinite(features)):
@@ -365,13 +364,13 @@ def model_from_text(text: str) -> StrongClassifier:
                 feature, threshold, polarity = int(feature), float(threshold), int(polarity)
             except ValueError:
                 raise rd.error(f"bad node fields in {rd.lines[rd.at]!r}") from None
-            if not 0 <= feature < d:
+            # the model refuses the feature too, but only here can the line be named
+            if feature >= d:
                 raise rd.error(f"node feature {feature} out of range")
-            if not math.isfinite(threshold):
-                raise rd.error("non-finite node threshold")
-            if polarity not in (1, -1):
-                raise rd.error(f"node polarity must be +-1, got {polarity}")
-            nodes.append(Stump(feature=feature, threshold=threshold, polarity=polarity))
+            try:
+                nodes.append(Stump(feature=feature, threshold=threshold, polarity=polarity))
+            except ValueError as exc:
+                raise rd.error(str(exc)) from None
         rounds.append((Tree(depth=depth, nodes=nodes), rd.floats("a", k)))
 
     line = rd.next("end")

@@ -34,11 +34,24 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Stump:
-    """Axis-aligned threshold test: polarity * sign(x[feature] - threshold), sign(0) = -1."""
+    """Axis-aligned threshold test: polarity * sign(x[feature] - threshold), sign(0) = -1.
+
+    Checked when built: the feature is >= 0, the threshold finite and the
+    polarity +-1, the node rules of the model format.  A model checks the
+    feature against its d.
+    """
 
     feature: int
     threshold: float
     polarity: int
+
+    def __post_init__(self):
+        if self.feature < 0:
+            raise ValueError(f"node feature {self.feature} out of range")
+        if not math.isfinite(self.threshold):
+            raise ValueError("non-finite node threshold")
+        if self.polarity not in (1, -1):
+            raise ValueError(f"node polarity must be +-1, got {self.polarity}")
 
     def plus_side(self, features: np.ndarray) -> np.ndarray:
         """Where the stump outputs +1: x[feature] > threshold, inverted for polarity -1."""
@@ -157,13 +170,22 @@ class LearnerFit(NamedTuple):
                           self.outputs[b], SplitScores(self.scores.s_plus[b], self.scores.s_minus[b]))
 
 
+def check_features_shape(shape: tuple[int, ...]) -> None:
+    """The rule on a feature matrix's shape: (N, d), neither size below 1."""
+    if len(shape) != 2 or min(shape) < 1:
+        raise ValueError("features must be a non-empty (N, d) array")
+
+
 def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
-    """Evenly spaced interior thresholds per feature: min + (i/(n_tau+1))(max-min), i=1..n_tau."""
+    """Evenly spaced interior thresholds per feature: min + (i/(n_tau+1))(max-min), i=1..n_tau.
+
+    Where max - min overflows, they are min + (i/(n_tau+1))max - (i/(n_tau+1))min:
+    finite, increasing and interior.
+    """
     if n_tau < 1:
         raise ValueError("n_tau must be >= 1")
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.size == 0:
-        raise ValueError("features must be a non-empty (N, d) array")
+    check_features_shape(features.shape)
     ticks = np.arange(1, n_tau + 1, dtype=np.float64) / (n_tau + 1)
     thresholds, buckets = [], []
     for j in range(features.shape[1]):
@@ -172,7 +194,9 @@ def build_grid(features: np.ndarray, n_tau: int) -> ThresholdGrid:
         # strided column and 3.1 ms with `features.min(axis=0)` and `.max(axis=0)`
         values = np.ascontiguousarray(features[:, j])
         lo, hi = float(values.min()), float(values.max())
-        thr = np.array([lo]) if lo == hi else lo + ticks * (hi - lo)
+        thr = np.array([lo])
+        if lo != hi:  # a span that overflows is not formed; each of its terms is finite
+            thr = lo + ticks * (hi - lo) if math.isfinite(hi - lo) else lo + ticks * hi - ticks * lo
         thresholds.append(thr)
         buckets.append(_bucketize(values, thr, lo, hi))
     return ThresholdGrid(thresholds=thresholds, buckets=buckets)

@@ -486,6 +486,16 @@ class TestPredict:
         with pytest.raises(ValueError, match=r"rounds\[2\] has a vector of shape \(2,\)"):
             StrongClassifier(k=3, d=1, a0=np.zeros(3), rounds=[rounds[0]] * 2 + rounds[2:])
 
+    def test_a_node_on_a_missing_feature_is_refused(self):
+        """Every node of every tree reads one of the model's d features, or
+        the model is refused, naming the round: once it built and then failed
+        in `scores` with an IndexError.  A deep tree's last node counts too."""
+        deep = Tree(depth=2, nodes=[Stump(0, 0.0, 1), Stump(1, 0.0, 1), Stump(2, 0.0, -1)])
+        rounds = [(Tree.from_stump(Stump(1, 0.0, 1)), np.zeros(2)), (deep, np.zeros(2))]
+        with pytest.raises(ValueError, match=r"rounds\[1\] has a node on feature 2, expected < 2"):
+            StrongClassifier(k=2, d=2, a0=np.zeros(2), rounds=rounds)
+        assert StrongClassifier(k=2, d=3, a0=np.zeros(2), rounds=rounds).d == 3
+
     def test_shape_validation(self):
         model = StrongClassifier(k=2, d=3, a0=np.zeros(2), rounds=[], fingerprint="")
         with pytest.raises(ValueError):

@@ -72,6 +72,33 @@ def test_predict_unlabeled_features_to_stdout(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_predict_refuses_a_label_file(tmp_path, capsys):
+    """Predict's label spec names a column to drop; `file:PATH` names none, and
+    was once read, then ignored.  It is refused before any file is read."""
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", tmp_path / "missing.model", "--data",
+                tmp_path / "missing.csv", "--labels", "file:labels.txt", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: predict's --labels names a label column to drop (col:IDX), "
+                            "not a label file: 'file:labels.txt'\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_feature_spanning_past_the_float_range_trains_a_loadable_model(tmp_path, capsys):
+    """A column from -1.7e308 to 1.7e308 has a span that overflows; its
+    thresholds once all came out inf, and `predict` refused the model."""
+    data = tmp_path / "wide.csv"
+    data.write_text("-1.7e308,a\n-1.0,b\n0.0,a\n1.0,b\n1.7e308,a\n0.5,b\n")
+    model = tmp_path / "m.txt"
+    assert run(["train", "--data", data, "--labels", "col:-1", "--rounds", 3,
+                "--out", model]) == 0
+    assert all(np.isfinite(tree.nodes[0].threshold) for tree, _ in load_model(model).rounds)
+    capsys.readouterr()
+    assert run(["predict", "--model", model, "--data", data, "--labels", "col:-1"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 7
+
+
 def test_predict_rows_are_repr_of_scores(tmp_path):
     """Each output row is the argmax class, then every score's repr."""
     from conftest import random_model
@@ -260,7 +287,7 @@ def test_cost_matrix_of_another_class_count_exits_2(tmp_path, capsys, command):
     else:
         assert run(["train", "--rounds", 2, "--out", model] + argv) == 2
         assert not model.exists()
-    assert "cost matrix has 4 classes, dataset has 3" in capsys.readouterr().err
+    assert "dataset has 3 classes, cost matrix 4" in capsys.readouterr().err
 
 
 def _three_class_train(tmp_path):
@@ -461,6 +488,10 @@ def test_synth_refuses_an_empty_mixture(tmp_path, capsys, flag, value, message):
      "seed must be >= 0, got -1"),
     (["oracle-check", "--seed", -1, "--trials", 1, "--rounds", 2, "--n", 20],
      "seed must be >= 0, got -1"),
+    (["oracle-check", "--trials", 1, "--rounds", 2, "--n", -1],
+     "features must be a non-empty (N, d) array"),
+    (["oracle-check", "--trials", 1, "--rounds", 2, "--n", 20, "--d", -1],
+     "features must be a non-empty (N, d) array"),
 ])
 def test_negative_seeds_and_sizes_exit_2_naming_the_rule(tmp_path, monkeypatch, capsys, argv,
                                                          message):

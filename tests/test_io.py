@@ -1,6 +1,8 @@
 """CSV dataset loading and the plain-text model format."""
 import dataclasses
 import hashlib
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -469,6 +471,7 @@ class TestModelFormat:
         ("a0", "1.0 x 2.0", "a0: bad float"),
         ("a", "nan 1.0 2.0", "a: non-finite value"),
         ("node", "x 0.5 1", "bad node fields in 'node x 0.5 1'"),
+        ("node", "4 0.5 1", "node feature 4 out of range"),
         ("end", "x", "expected end, got 'end x'"),
     ])
     def test_range_errors_report_their_line(self, key, value, match):
@@ -478,6 +481,29 @@ class TestModelFormat:
         idx = next(i for i, line in enumerate(lines) if line.split()[0] == key)
         lines[idx] = f"{key} {value}"
         with pytest.raises(ModelParseError, match=match) as exc:
+            model_from_text("\n".join(lines))
+        assert exc.value.byte_offset == sum(len(line) + 1 for line in lines[:idx])
+
+    @pytest.mark.parametrize("feature, threshold, polarity, message", [
+        (0, 0.0, 0, "node polarity must be +-1, got 0"),
+        (0, 0.0, 2, "node polarity must be +-1, got 2"),
+        (-1, 0.0, 1, "node feature -1 out of range"),
+        (0, math.nan, 1, "non-finite node threshold"),
+        (0, math.inf, 1, "non-finite node threshold"),
+        (0, -math.inf, 1, "non-finite node threshold"),
+    ])
+    def test_a_broken_node_is_refused_when_built_and_when_read(self, feature, threshold,
+                                                              polarity, message):
+        """The node rules are `Stump`'s: a broken node is refused when built,
+        and in a model text at its line's start, with the same message.  Each
+        once built a model that `model_to_text` wrote and the reader refused;
+        polarity 0 also scored differently in `scores` and `staged_scores`."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Stump(feature, threshold, polarity)
+        lines = model_to_text(random_model(7, rounds=2)).split("\n")
+        idx = next(i for i, line in enumerate(lines) if line.startswith("node "))
+        lines[idx] = f"node {feature} {threshold!r} {polarity}"
+        with pytest.raises(ModelParseError, match=re.escape(message)) as exc:
             model_from_text("\n".join(lines))
         assert exc.value.byte_offset == sum(len(line) + 1 for line in lines[:idx])
 
@@ -531,6 +557,23 @@ class TestModelFormat:
             quoted = text.encode("utf-8")[exc.byte_offset:].split(b"\n", 1)[0].decode("utf-8")
             if "got '" in str(exc) or "in '" in str(exc) or "content '" in str(exc):
                 assert repr(quoted) in str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_edited_model_texts())
+    def test_accepted_texts_have_a_canonical_form(self, text):
+        """A text the reader accepts need not re-serialize to itself (`a0 1e0 2`,
+        a doubled space, a bare `config` or trailing blank lines do not), but
+        its canonical text, the model's own, loads back to those bytes and to
+        bit-equal scores."""
+        try:
+            model = model_from_text(text)
+        except ModelParseError:
+            return
+        canonical = model_to_text(model)
+        back = model_from_text(canonical)
+        assert model_to_text(back) == canonical
+        rows = np.random.default_rng(0).normal(size=(6, model.d))
+        assert back.scores(rows).tobytes() == model.scores(rows).tobytes()
 
     def test_version_mismatch(self):
         text = model_to_text(random_model(7, rounds=1))

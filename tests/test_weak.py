@@ -121,12 +121,17 @@ class TestGrid:
     @example(case=(np.array([[-1.7e308], [0.0], [1.7e308]]), 50))
     def test_buckets_are_searchsorted(self, case):
         """Each sample's bucket is the count of its feature's thresholds
-        strictly below it, and binning raises no NumPy warning."""
+        strictly below it, and binning raises no NumPy warning.  The
+        thresholds are finite, non-decreasing and within the feature's range,
+        an overflowing one included: its span once made every threshold inf."""
         x, n_tau = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = build_grid(x, n_tau)
         for j, thresholds in enumerate(grid.thresholds):
+            assert np.isfinite(thresholds).all()
+            assert (thresholds[:-1] <= thresholds[1:]).all()
+            assert x[:, j].min() <= thresholds.min() and thresholds.max() <= x[:, j].max()
             expected = np.searchsorted(thresholds, x[:, j], side="left")
             assert grid.buckets[j].dtype == expected.dtype
             np.testing.assert_array_equal(grid.buckets[j], expected)
